@@ -23,6 +23,8 @@ from .engines import (
     ENGINES,
     CostRow,
     GateRecord,
+    MAX_LOOP_ATTEMPTS,
+    RetryLimitExceeded,
     RunReport,
     TerminationModel,
     compare_costs,

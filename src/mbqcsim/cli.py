@@ -12,7 +12,8 @@ Subcommands:
   emit a per-run cost CSV.
 
 Exit codes: 0 success, 1 verification or fidelity failure, 2 bad
-usage or unreadable input.  Seeds come from --seed, else the
+usage, unreadable input, or a retry loop that hit its attempt cap;
+each exit 2 prints one ``error:`` line.  Seeds come from --seed, else the
 MBQC_SEED environment variable, else fresh entropy; the chosen seed
 is always echoed to stderr so any run can be replayed.
 """
@@ -20,6 +21,7 @@ is always echoed to stderr so any run can be replayed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import secrets
@@ -27,10 +29,11 @@ import sys
 
 import numpy as np
 
-from .circuit import CircuitParseError, parse_circuit
+from .circuit import parse_circuit
 from .engines import (
     ENGINE_NAMES,
     ENGINES,
+    RetryLimitExceeded,
     TerminationModel,
     compare_costs,
     sample_attempt_counts,
@@ -42,22 +45,20 @@ from .numerics import basis_state, random_state
 FIDELITY_GATE = 1.0 - 1e-9
 
 
-def _resolve_seed(value):
-    """(seed, auto) from the flag, MBQC_SEED, or fresh entropy."""
-    if value is not None:
-        return value, False
-    env = os.environ.get("MBQC_SEED")
-    if env is not None:
-        try:
-            return int(env), False
-        except ValueError:
-            raise SystemExit(f"error: MBQC_SEED is not an integer: {env!r}")
-    return secrets.randbits(32), True
-
-
-def _announce_seed(seed, auto):
-    tag = " (auto)" if auto else ""
-    print(f"# seed {seed}{tag}", file=sys.stderr)
+def _seed(value):
+    """Seed from the flag, MBQC_SEED, or fresh entropy; echoed to stderr."""
+    auto = False
+    if value is None:
+        env = os.environ.get("MBQC_SEED")
+        if env is None:
+            value, auto = secrets.randbits(32), True
+        else:
+            try:
+                value = int(env)
+            except ValueError:
+                raise ValueError(f"MBQC_SEED is not an integer: {env!r}") from None
+    print(f"# seed {value}{' (auto)' if auto else ''}", file=sys.stderr)
+    return value
 
 
 def _read_circuit(path):
@@ -85,61 +86,49 @@ def _input_state(spec, num_qubits, gen):
     return basis_state(spec)
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout, or the --out file (closed afterwards)."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _cmd_simulate(args):
     circuit = _read_circuit(args.circuit)
-    seed, auto = _resolve_seed(args.seed)
-    _announce_seed(seed, auto)
-    src = RandomSource(seed)
-    out, close = _open_out(args.out)
+    src = RandomSource(_seed(args.seed))
+    opts = {"finalize": args.finalize} if args.engine == "frame" else {}
     worst = 1.0
-    try:
+    with _output(args.out) as out:
         for trial in range(args.trials):
             sub = src.substream(trial)
             state = _input_state(
                 args.input, circuit.num_qubits, sub.substream(0).gen
             )
-            if args.engine == "frame":
-                report = ENGINES["frame"](
-                    circuit, state, sub.substream(1), finalize=args.finalize
-                )
-            else:
-                report = ENGINES[args.engine](circuit, state, sub.substream(1))
+            report = ENGINES[args.engine](circuit, state, sub.substream(1), **opts)
             payload = {"trial": trial}
             payload.update(report.to_json_dict())
             print(json.dumps(payload), file=out)
             worst = min(worst, report.fidelity_vs_oracle)
-    finally:
-        if close:
-            out.close()
     print(f"# min fidelity {worst:.12f}", file=sys.stderr)
     return 0 if worst >= FIDELITY_GATE else 1
 
 
 def _cmd_verify_table1(args):
-    seed, auto = _resolve_seed(args.seed)
-    _announce_seed(seed, auto)
+    seed = _seed(args.seed)
     table = load_table1(args.table) if args.table else None
     report = verify_table1(
         table=table, states_per_key=args.states, seed=seed
     )
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(report.render(table))
-    finally:
-        if close:
-            out.close()
     return 0 if report.ok else 1
 
 
 def _cmd_stats(args):
-    seed, auto = _resolve_seed(args.seed)
-    _announce_seed(seed, auto)
+    seed = _seed(args.seed)
     counts = sample_attempt_counts(args.trials, RandomSource(seed))
     model = TerminationModel()
     total = int(counts.sum())
@@ -156,22 +145,15 @@ def _cmd_stats(args):
         empirical = float(np.mean(counts > k))
         err = np.sqrt(tail * (1.0 - tail) / args.trials)
         lines.append(f"{k},{empirical:.6f},{tail:.6f},{err:.6f}")
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_compare(args):
     circuit = _read_circuit(args.circuit)
-    seed, auto = _resolve_seed(args.seed)
-    _announce_seed(seed, auto)
-    rows = compare_costs(circuit, args.trials, seed)
-    out, close = _open_out(args.out)
-    try:
+    rows = compare_costs(circuit, args.trials, _seed(args.seed))
+    with _output(args.out) as out:
         print(
             "engine,circuit_len,trial,gadget_calls,corrective_calls,fidelity",
             file=out,
@@ -182,10 +164,11 @@ def _cmd_compare(args):
                 f"{r.gadget_calls},{r.corrective_calls},{r.fidelity:.12f}",
                 file=out,
             )
-    finally:
-        if close:
-            out.close()
     return 0 if all(r.fidelity >= FIDELITY_GATE for r in rows) else 1
+
+
+#: smallest accepted value of each counting option
+_MINIMUMS = {"trials": 1, "states": 1, "max_k": 0}
 
 
 def build_parser():
@@ -243,11 +226,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for name, low in _MINIMUMS.items():
+            value = getattr(args, name, low)
+            if value < low:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be at least {low}, got {value}")
         return args.func(args)
-    except CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RetryLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,6 +125,15 @@ def _fidelity(a, b):
 # ---------------------------------------------------------------------------
 
 
+#: attempts before a retry loop gives up; a sound gadget gets there
+#: with probability (3/4)**200 ~ 1e-25
+MAX_LOOP_ATTEMPTS = 200
+
+
+class RetryLimitExceeded(RuntimeError):
+    """A retry loop made MAX_LOOP_ATTEMPTS attempts without a clean word."""
+
+
 def one_qubit_loop(u, state, q, rng):
     """Realize ``u`` at q through repeated teleportation.
 
@@ -132,11 +141,12 @@ def one_qubit_loop(u, state, q, rng):
     on the wire; labels n == m mean the error is trivial.  Otherwise
     the next attempt aims at the inverse error V sigma_m sigma_n V*.
     Returns (state, words); attempt count is geometric with success
-    probability 1/4.
+    probability 1/4.  Raises RetryLimitExceeded after
+    ``MAX_LOOP_ATTEMPTS`` attempts.
     """
     pending = np.asarray(u, dtype=complex)
     words = []
-    while True:
+    for _ in range(MAX_LOOP_ATTEMPTS):
         out = one_qubit_gadget(pending, state, q, rng)
         words.append(out.transcript)
         state = out.post_state
@@ -153,6 +163,10 @@ def one_qubit_loop(u, state, q, rng):
         # floats; snap back so the gadget's validator never trips
         w, _, vh = np.linalg.svd(pending)
         pending = w @ vh
+    raise RetryLimitExceeded(
+        f"retry loop on qubit {q} found no clean outcome in "
+        f"{MAX_LOOP_ATTEMPTS} attempts; last word {words[-1]}"
+    )
 
 
 def run_nielsen(circuit, input_state, rng):

@@ -24,18 +24,27 @@ The CNOT gadget teleports both data qubits through the 4-qubit
 resource CNOT_(2,3)(|EPR>_(1,2) (x) |EPR>_(3,4)).  Resource
 preparation applies the CNOT matrix directly, so this gadget is not
 measurement-only; the two attachments are plain Bell measurements.
+
+Each gadget is one spec: the input extended by its (cached) resource
+wires, the measurement plan, the decoding of an outcome word into the
+byproduct, and the compaction back to the data wires.  Two drivers
+run every spec: ``*_gadget`` samples one path (one draw and one built
+post-state per measurement), ``*_branches`` enumerates all 16 words.
+Both go through ``measurement_branches``, so a sampled branch is
+bit for bit the enumerated branch with the same word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circuit import CNOT_MATRIX, T_MATRIX
 from .measurement import (
-    BasisMeasurement,
     RandomSource,
     bell_basis,
     enumerate_branches,
@@ -61,7 +70,6 @@ from .pauli import (
     conjugate_through_CNOT,
     letter_matrix,
     multiply,
-    render_letters,
 )
 
 _L = PauliLetter
@@ -69,35 +77,6 @@ _L = PauliLetter
 # ---------------------------------------------------------------------------
 # the adapted-T measurement table
 # ---------------------------------------------------------------------------
-
-# (sigma_p, n) -> (sign of M1, sign of M2 when r1 = +1, sign when r1 = -1).
-# M1 is always +-Z(x)Z, M2 is +-X(x)X for r1 = +1 and +-Y(x)X for r1 = -1.
-# Literal data, 16 rows; never derived at runtime.  The signs obey a
-# commutation law, with c(a, b) = +1 when sigma_a and sigma_b commute
-# and -1 otherwise:
-#   m1_sign       = c(n, Z) c(p, Z)
-#   m2_sign(+1)   = c(n, X) c(p, X)
-#   m2_sign(-1)   = -c(n, X) c(p, Y)
-# The test suite proves both the law and, key by key, the correction
-# map itself; neither is trusted at runtime.
-_TABLE1_SIGNS = {
-    (_L.I, 0): (+1, +1, -1),
-    (_L.I, 1): (-1, +1, -1),
-    (_L.I, 2): (-1, -1, +1),
-    (_L.I, 3): (+1, -1, +1),
-    (_L.X, 0): (-1, +1, +1),
-    (_L.X, 1): (+1, +1, +1),
-    (_L.X, 2): (+1, -1, -1),
-    (_L.X, 3): (-1, -1, -1),
-    (_L.Y, 0): (-1, -1, -1),
-    (_L.Y, 1): (+1, -1, -1),
-    (_L.Y, 2): (+1, +1, +1),
-    (_L.Y, 3): (-1, +1, +1),
-    (_L.Z, 0): (+1, -1, +1),
-    (_L.Z, 1): (-1, -1, +1),
-    (_L.Z, 2): (-1, +1, -1),
-    (_L.Z, 3): (+1, +1, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -124,9 +103,6 @@ def _entry(sigma_p, n, signs):
         m2_pos=SignedPauliObservable(s2p, (_L.X, _L.X)),
         m2_neg=SignedPauliObservable(s2n, (_L.Y, _L.X)),
     )
-
-
-TABLE1 = {key: _entry(key[0], key[1], signs) for key, signs in _TABLE1_SIGNS.items()}
 
 
 def table1_lookup(sigma_p, n, table=None):
@@ -222,6 +198,11 @@ def load_table1(path=None):
     return parse_table1(text)
 
 
+#: the packaged table, the one runtime source of its 48 signs; the test
+#: suite proves the sign law and, key by key, the correction map
+TABLE1 = load_table1()
+
+
 # ---------------------------------------------------------------------------
 # gadgets
 # ---------------------------------------------------------------------------
@@ -245,25 +226,72 @@ class GadgetOutcome:
     branch_probability: float
 
 
-def _extend_three(s):
-    """Adjoin a1 = |0> and (a2, a3) = |EPR>; returns (state, a1, a2, a3)."""
+class _Spec(NamedTuple):
+    """One gadget call, as the module docstring lays out."""
+
+    register: StateVector
+    plan: list
+    decode: Callable
+    compact: Callable
+
+
+def _sample(spec, rng):
+    word, state, prob = sample_plan(spec.register, spec.plan, rng)
+    return GadgetOutcome(spec.compact(state), spec.decode(word), word, prob)
+
+
+def _enumerate(spec):
+    return [
+        GadgetOutcome(
+            spec.compact(b.post_state),
+            spec.decode(b.outcomes),
+            b.outcomes,
+            b.probability,
+        )
+        for b in enumerate_branches(spec.register, spec.plan)
+    ]
+
+
+@cache
+def _three_wires():
+    """a1 = |0> and (a2, a3) = |EPR>, adjoined by every one-qubit call."""
+    return tensor(basis_state("0"), epr_state())
+
+
+@cache
+def _cnot_wires():
+    """The 4-wire resource CNOT_(2,3)(|EPR>_(1,2) (x) |EPR>_(3,4))."""
+    return apply_unitary(CNOT_MATRIX, tensor(epr_state(), epr_state()), (1, 2))
+
+
+def _compact(state, dead, outputs, num_qubits):
+    """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
+    reduced = factor_out(state, dead)
+    kept = [i for i in range(num_qubits) if i not in outputs] + list(outputs)
+    return reorder_qubits(reduced, [kept.index(f) for f in range(num_qubits)])
+
+
+def _one_wire_spec(s, q, plan, decode):
+    """Spec of a one-qubit or T call; ``plan(a1, a2)`` lists its measurements."""
     n = s.num_qubits
-    ext = tensor(s, tensor(basis_state("0"), epr_state()))
-    return ext, n, n + 1, n + 2
+    return _Spec(
+        tensor(s, _three_wires()),
+        plan(n, n + 1),
+        decode,
+        lambda state: _compact(state, [q, n, n + 2], (q,), n),
+    )
 
 
-def _one_qubit_plan(u, q, a1, a2):
-    return [u_basis(u, (a1, a2)), bell_basis((q, a1))]
+def _one_qubit_spec(u, s, q):
+    u = require_unitary(u)
 
+    def decode(word):
+        n_lbl, m_lbl = word
+        return multiply(PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),)))
 
-def _compact_one(state, q, num_qubits):
-    """Drop the spent wires and relabel the output ancilla to q."""
-    a1, a2, a3 = num_qubits, num_qubits + 1, num_qubits + 2
-    reduced = factor_out(state, [q, a1, a3])
-    # kept order: 0..q-1, q+1..n-1, a2 (last); bring a2 back to q
-    perm = list(range(num_qubits - 1))
-    perm.insert(q, num_qubits - 1)
-    return reorder_qubits(reduced, perm)
+    return _one_wire_spec(
+        s, q, lambda a1, a2: [u_basis(u, (a1, a2)), bell_basis((q, a1))], decode
+    )
 
 
 def one_qubit_gadget(u, s, q, rng):
@@ -273,54 +301,38 @@ def one_qubit_gadget(u, s, q, rng):
     where (n, m) is the transcript; each of the 16 words has
     probability exactly 1/16.  Register size is unchanged.
     """
-    u = require_unitary(u)
-    ext, a1, a2, a3 = _extend_three(s)
-    word, state, prob = sample_plan(ext, _one_qubit_plan(u, q, a1, a2), rng)
-    n_lbl, m_lbl = word
-    post = _compact_one(state, q, s.num_qubits)
-    byproduct = multiply(
-        PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),))
-    )
-    return GadgetOutcome(post, byproduct, word, prob)
+    return _sample(_one_qubit_spec(u, s, q), rng)
 
 
 def one_qubit_branches(u, s, q):
     """All 16 branches of the one-qubit gadget, exactly enumerated."""
-    u = require_unitary(u)
-    ext, a1, a2, a3 = _extend_three(s)
-    out = []
-    for b in enumerate_branches(ext, _one_qubit_plan(u, q, a1, a2)):
-        n_lbl, m_lbl = b.outcomes
-        byproduct = multiply(
-            PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),))
-        )
-        out.append(
-            GadgetOutcome(
-                _compact_one(b.post_state, q, s.num_qubits),
-                byproduct,
-                b.outcomes,
-                b.probability,
-            )
-        )
-    return out
+    return _enumerate(_one_qubit_spec(u, s, q))
 
 
-def _t_plan(sigma_p, q, a1, a2, table):
+def _t_spec(s, q, sigma_p, table):
     """Adaptive plan for the adapted T gadget.
 
     M1/M2 are looked up from the table by (sigma_p, outcome n); their
     first letter lands on the data wire q, second on a1.
     """
+    sigma_p = PauliLetter(sigma_p)
 
-    def m1(word):
-        return table1_lookup(sigma_p, word[0], table).m1.retargeted((q, a1))
+    def plan(a1, a2):
+        def m1(word):
+            return table1_lookup(sigma_p, word[0], table).m1.retargeted((q, a1))
 
-    def m2(word):
-        entry = table1_lookup(sigma_p, word[0], table)
-        obs = entry.m2_pos if word[1] > 0 else entry.m2_neg
-        return obs.retargeted((q, a1))
+        def m2(word):
+            entry = table1_lookup(sigma_p, word[0], table)
+            obs = entry.m2_pos if word[1] > 0 else entry.m2_neg
+            return obs.retargeted((q, a1))
 
-    return [u_basis(T_MATRIX, (a1, a2)), m1, m2]
+        return [u_basis(T_MATRIX, (a1, a2)), m1, m2]
+
+    def decode(word):
+        n_lbl, r1, r2 = word
+        return PauliOperator(0, (theorem1_correction(r1, r2),))
+
+    return _one_wire_spec(s, q, plan, decode)
 
 
 def adapted_t_gadget(s, q, sigma_p, rng, table=None):
@@ -331,67 +343,34 @@ def adapted_t_gadget(s, q, sigma_p, rng, table=None):
     phase, with C_T = theorem1_correction(r1, r2) returned as the
     byproduct.  Transcript is (n, r1, r2).
     """
-    sigma_p = PauliLetter(sigma_p)
-    ext, a1, a2, a3 = _extend_three(s)
-    word, state, prob = sample_plan(ext, _t_plan(sigma_p, q, a1, a2, table), rng)
-    n_lbl, r1, r2 = word
-    post = _compact_one(state, q, s.num_qubits)
-    correction = PauliOperator(0, (theorem1_correction(r1, r2),))
-    return GadgetOutcome(post, correction, word, prob)
+    return _sample(_t_spec(s, q, sigma_p, table), rng)
 
 
 def adapted_t_branches(s, q, sigma_p, table=None):
     """All 16 branches (n, r1, r2) of the adapted T gadget."""
-    sigma_p = PauliLetter(sigma_p)
-    ext, a1, a2, a3 = _extend_three(s)
-    out = []
-    for b in enumerate_branches(ext, _t_plan(sigma_p, q, a1, a2, table)):
-        n_lbl, r1, r2 = b.outcomes
-        correction = PauliOperator(0, (theorem1_correction(r1, r2),))
-        out.append(
-            GadgetOutcome(
-                _compact_one(b.post_state, q, s.num_qubits),
-                correction,
-                b.outcomes,
-                b.probability,
-            )
-        )
-    return out
+    return _enumerate(_t_spec(s, q, sigma_p, table))
 
 
-def _extend_cnot(s):
-    """Adjoin the 4-wire resource CNOT_(2,3)(|EPR>_(1,2) (x) |EPR>_(3,4))."""
+def _cnot_spec(s, control, target):
+    if control == target:
+        raise ValueError("control equals target")
     n = s.num_qubits
-    resource = apply_unitary(CNOT_MATRIX, tensor(epr_state(), epr_state()), (1, 2))
-    ext = tensor(s, resource)
-    return ext, (n, n + 1, n + 2, n + 3)
 
+    def decode(word):
+        # corrections enter before the CNOT as sigma_n (x) sigma_m; the
+        # reported byproduct is their image on the output side
+        n_lbl, m_lbl = word
+        return conjugate_through_CNOT(PauliOperator(0, (_L(n_lbl), _L(m_lbl))), 0, 1)
 
-def _cnot_plan(control, target, wires):
-    r1, r2, r3, r4 = wires
-    return [bell_basis((control, r1)), bell_basis((target, r4))]
-
-
-def _cnot_byproduct(n_lbl, m_lbl):
-    # corrections enter before the CNOT as sigma_n (x) sigma_m; the
-    # reported byproduct is their image on the output side
-    return conjugate_through_CNOT(PauliOperator(0, (_L(n_lbl), _L(m_lbl))), 0, 1)
-
-
-def _compact_cnot(state, control, target, num_qubits, wires):
-    r1, r2, r3, r4 = wires
-    reduced = factor_out(state, [control, target, r1, r4])
-    # kept order: data qubits except (control, target), then r2, r3
-    others = [i for i in range(num_qubits) if i not in (control, target)]
-    perm = []
-    for f in range(num_qubits):
-        if f == control:
-            perm.append(num_qubits - 2)
-        elif f == target:
-            perm.append(num_qubits - 1)
-        else:
-            perm.append(others.index(f))
-    return reorder_qubits(reduced, perm)
+    # r1 = n and r4 = n + 3 are measured; r2 and r3 carry the outputs
+    return _Spec(
+        tensor(s, _cnot_wires()),
+        [bell_basis((control, n)), bell_basis((target, n + 3))],
+        decode,
+        lambda state: _compact(
+            state, [control, target, n, n + 3], (control, target), n
+        ),
+    )
 
 
 def cnot_gadget(s, control, target, rng):
@@ -401,32 +380,12 @@ def cnot_gadget(s, control, target, rng):
     phase with P = CNOT (sigma_n (x) sigma_m) CNOT, n and m being the
     two Bell outcomes; each of the 16 words has probability 1/16.
     """
-    if control == target:
-        raise ValueError("control equals target")
-    ext, wires = _extend_cnot(s)
-    word, state, prob = sample_plan(ext, _cnot_plan(control, target, wires), rng)
-    n_lbl, m_lbl = word
-    post = _compact_cnot(state, control, target, s.num_qubits, wires)
-    return GadgetOutcome(post, _cnot_byproduct(n_lbl, m_lbl), word, prob)
+    return _sample(_cnot_spec(s, control, target), rng)
 
 
 def cnot_branches(s, control, target):
     """All 16 branches of the CNOT gadget, exactly enumerated."""
-    if control == target:
-        raise ValueError("control equals target")
-    ext, wires = _extend_cnot(s)
-    out = []
-    for b in enumerate_branches(ext, _cnot_plan(control, target, wires)):
-        n_lbl, m_lbl = b.outcomes
-        out.append(
-            GadgetOutcome(
-                _compact_cnot(b.post_state, control, target, s.num_qubits, wires),
-                _cnot_byproduct(n_lbl, m_lbl),
-                b.outcomes,
-                b.probability,
-            )
-        )
-    return out
+    return _enumerate(_cnot_spec(s, control, target))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +429,7 @@ class Table1Report:
                 )
                 for c in self.checks:
                     if c.sigma_p is letter and c.n == n:
-                        realized = c.realized.name if c.realized else "?"
+                        realized = "?" if c.realized is None else c.realized.name
                         lines.append(
                             f"  (r1={c.r1:+d}, r2={c.r2:+d}) -> {realized}  "
                             f"expected {c.expected.name}  "
@@ -506,12 +465,9 @@ def verify_table1(table=None, states_per_key=20, seed=0, tol=1e-9):
             twisted = StateVector(
                 1, letter_matrix(letter) @ phi.amplitudes, normalize=True
             )
+            ideal = T_MATRIX @ phi.amplitudes
             candidates = {
-                cand: StateVector(
-                    1,
-                    letter_matrix(cand) @ (T_MATRIX @ phi.amplitudes),
-                    normalize=True,
-                )
+                cand: StateVector(1, letter_matrix(cand) @ ideal, normalize=True)
                 for cand in _L
             }
             seen = set()

@@ -8,9 +8,16 @@ Two measurement kinds exist:
 * :class:`~mbqcsim.pauli.SignedPauliObservable`: a +-1-valued 2-qubit
   observable; the outcome is the eigenvalue of the signed operator.
 
-``enumerate_branches`` expands a measurement plan into every outcome
-word with its exact Born probability and post-state.  It is the
-brute-force oracle the test suite checks gadgets and engines against.
+``measurement_branches`` is the one per-measurement primitive: it
+computes every branch's exact Born probability up front, and builds a
+branch's post-state only when it is read.  ``sample_plan`` draws one
+branch per measurement (one ``RandomSource.choose`` each) and so builds
+one post-state; ``enumerate_branches`` expands a plan into every
+outcome word with its post-state.  Enumeration is the brute-force
+oracle the test suite checks gadgets and engines against.
+
+Bases from :func:`u_basis` and :func:`bell_basis` are built and
+Gram-checked once per distinct matrix, then retargeted for free.
 
 Outcome bookkeeping for the Bell basis: measuring +Z(x)Z then +X(x)X
 is equivalent to a Bell-basis measurement under the fixed sign-to-label
@@ -24,11 +31,13 @@ the second sign its Z component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .numerics import StateVector, apply_unitary, require_unitary
+from .numerics import StateVector, apply_unitary, permute_qubits, require_unitary
 from .pauli import (
     PauliLetter,
     SignedPauliObservable,
@@ -109,12 +118,16 @@ class BasisMeasurement:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def retargeted(self, targets):
-        return BasisMeasurement(self.vectors, tuple(targets), self.labels)
+        """The same basis on other wires; the vectors were checked once."""
+        moved = copy.copy(self)
+        object.__setattr__(moved, "targets", tuple(targets))
+        return moved
 
 
-def u_basis(u, targets=(0, 1)):
-    """Basis {(I (x) u sigma_i)|EPR>} for i = 0..3; u must be unitary."""
-    u = require_unitary(u)
+@lru_cache(maxsize=256)
+def _basis_at_origin(shape, raw):
+    """u_basis on (0, 1) for the matrix with these C-order bytes."""
+    u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(shape))
     # (I (x) A)|EPR> laid out on (row, col) indices is A^T / sqrt(2)
     vectors = tuple(
         StateVector(
@@ -122,98 +135,106 @@ def u_basis(u, targets=(0, 1)):
         )
         for i in range(4)
     )
-    return BasisMeasurement(vectors, targets)
+    return BasisMeasurement(vectors)
 
 
-_BELL_AT_ORIGIN = None
+def u_basis(u, targets=(0, 1)):
+    """Basis {(I (x) u sigma_i)|EPR>} for i = 0..3; u must be unitary.
+
+    Each distinct matrix is built and checked once; a bounded cache
+    keyed on its bytes hands out the same basis afterwards.
+    """
+    u = np.asarray(u, dtype=complex)
+    return _basis_at_origin(u.shape, u.tobytes()).retargeted(targets)
 
 
 def bell_basis(targets=(0, 1)):
     """Bell basis {(I (x) sigma_n)|EPR>}, the u_basis of the identity."""
-    global _BELL_AT_ORIGIN
-    if _BELL_AT_ORIGIN is None:
-        _BELL_AT_ORIGIN = u_basis(np.eye(2))
-    return _BELL_AT_ORIGIN.retargeted(targets)
+    eye = np.eye(2, dtype=complex)
+    return _basis_at_origin(eye.shape, eye.tobytes()).retargeted(targets)
 
 
-@dataclass(frozen=True)
+@dataclass
 class OutcomeBranch:
-    """One leaf of a measurement plan: outcome word, probability, state."""
+    """One leaf of a measurement plan: outcome word, probability, state.
+
+    A branch from :func:`measurement_branches` holds the arguments of
+    its post-state instead, and builds the state on first read.
+    """
 
     outcomes: tuple
     probability: float
-    post_state: StateVector
+    _state: StateVector | None = None
+    _pending: tuple = field(default=(), repr=False, compare=False)
+
+    @property
+    def post_state(self):
+        if self._state is None:
+            self._state, self._pending = _post_state(*self._pending), ()
+        return self._state
 
 
-def _pair_matrix(s, targets):
-    """View the register as a (4, rest) matrix with ``targets`` in front."""
-    n = s.num_qubits
-    t0, t1 = targets
-    rest = [i for i in range(n) if i not in (t0, t1)]
-    order = [t0, t1, *rest]
-    psi = np.transpose(s.amplitudes.reshape((2,) * n), order)
-    inverse = np.argsort(order)
-    return psi.reshape(4, -1), inverse, n
-
-
-def _rebuild(mat, inverse, n):
-    psi = np.transpose(mat.reshape((2,) * n), inverse)
-    return StateVector(n, psi.reshape(-1), normalize=True)
+def _post_state(n, amp, vector=None, order=None, p=None):
+    """Renormalized post-state; a basis branch puts ``vector`` back on
+    the measured pair of the rest ``amp`` laid out by ``order``."""
+    if vector is not None:
+        post = np.outer(vector, amp / np.sqrt(p))
+        amp = permute_qubits(post, order, inverse=True).reshape(-1)
+    return StateVector(n, amp, normalize=True)
 
 
 def measurement_branches(s, m):
     """All outcome branches of a single measurement, exact probabilities.
 
     Accepts a BasisMeasurement or a SignedPauliObservable; branches
-    with probability below ``PRUNE_TOL`` are dropped.  Post-states are
-    renormalized; for a basis measurement the measured pair is left in
-    the labeled basis vector.
+    with probability below ``PRUNE_TOL`` are dropped.  Every
+    probability is computed here; each post-state is built and
+    renormalized only when read.  For a basis measurement the measured
+    pair is left in the labeled basis vector.
     """
+    n = s.num_qubits
     if isinstance(m, BasisMeasurement):
-        mat, inverse, n = _pair_matrix(s, m.targets)
+        t0, t1 = m.targets
+        order = [t0, t1, *(i for i in range(n) if i not in (t0, t1))]
+        mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
         branches = []
         for label, v in zip(m.labels, m.vectors):
             amp = v.amplitudes.conj() @ mat
             p = float(np.real(np.vdot(amp, amp)))
             if p < PRUNE_TOL:
                 continue
-            post = np.outer(v.amplitudes, amp / np.sqrt(p))
-            branches.append(
-                OutcomeBranch((label,), p, _rebuild(post, inverse, n))
-            )
+            pending = (n, amp, v.amplitudes, order, p)
+            branches.append(OutcomeBranch((label,), p, _pending=pending))
         return branches
     if isinstance(m, SignedPauliObservable):
-        obs = observable_matrix(m)
-        applied = apply_unitary(obs, s, m.targets)
+        applied = apply_unitary(observable_matrix(m), s, m.targets)
         branches = []
         for sign in (1, -1):
             amp = (s.amplitudes + sign * applied.amplitudes) / 2.0
             p = float(np.real(np.vdot(amp, amp)))
             if p < PRUNE_TOL:
                 continue
-            branches.append(
-                OutcomeBranch(
-                    (sign,), p, StateVector(s.num_qubits, amp, normalize=True)
-                )
-            )
+            branches.append(OutcomeBranch((sign,), p, _pending=(n, amp)))
         return branches
     raise TypeError(f"not a measurement: {m!r}")
 
 
-def measure_basis(s, m, rng):
-    """Sample one basis-measurement outcome. Returns (label, post_state)."""
+def _sample(s, m, rng):
+    """One ``rng.choose`` draw over the branches of one measurement."""
     branches = measurement_branches(s, m)
-    idx = rng.choose([b.probability for b in branches])
-    b = branches[idx]
+    return branches[rng.choose([b.probability for b in branches])]
+
+
+def measure_basis(s, m, rng):
+    """Sample one outcome of a basis measurement or a signed observable.
+
+    Returns (label or eigenvalue, post_state).
+    """
+    b = _sample(s, m, rng)
     return b.outcomes[0], b.post_state
 
 
-def measure_observable(s, o, rng):
-    """Sample a signed observable. Returns (eigenvalue, post_state)."""
-    branches = measurement_branches(s, o)
-    idx = rng.choose([b.probability for b in branches])
-    b = branches[idx]
-    return b.outcomes[0], b.post_state
+measure_observable = measure_basis
 
 
 def enumerate_branches(s, plan, prune=PRUNE_TOL):
@@ -246,15 +267,11 @@ def enumerate_branches(s, plan, prune=PRUNE_TOL):
 
 def sample_plan(s, plan, rng):
     """Sample one path through a plan. Returns (word, state, probability)."""
-    word = ()
-    prob = 1.0
-    state = s
+    word, prob, state = (), 1.0, s
     for item in plan:
         if callable(item):
             item = item(word)
-        branches = measurement_branches(state, item)
-        idx = rng.choose([b.probability for b in branches])
-        b = branches[idx]
+        b = _sample(state, item, rng)
         word += b.outcomes
         prob *= b.probability
         state = b.post_state

@@ -12,6 +12,9 @@ ancillas), so no sparse or compiled machinery is involved.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 #: default tolerance for state equality / normalization checks
@@ -48,7 +51,9 @@ class StateVector:
                 f"amplitude count {amps.size} does not match "
                 f"2**{num_qubits} = {2**num_qubits}"
             )
-        nrm = float(np.linalg.norm(amps))
+        # np.linalg.norm's own formula for complex vectors, minus its overhead
+        re, im = amps.real, amps.imag
+        nrm = math.sqrt(re.dot(re) + im.dot(im))
         if normalize:
             if nrm < 1e-12:
                 raise ValueError("cannot normalize a zero vector")
@@ -88,9 +93,9 @@ def basis_state(bits):
 
 def tensor(a, b):
     """Tensor product; ``a``'s qubits come first (more significant)."""
-    return StateVector(
-        a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes)
-    )
+    # the outer product holds np.kron's products in np.kron's order
+    amps = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    return StateVector(a.num_qubits + b.num_qubits, amps)
 
 
 def _check_targets(num_qubits, targets):
@@ -105,6 +110,49 @@ def _check_targets(num_qubits, targets):
     return targets
 
 
+@lru_cache(maxsize=4096)
+def _transpose_plan(perm, inverse):
+    """(shape, axes) that move qubits like ``perm``; source qubits that
+    stay adjacent and in order travel as one axis."""
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
+    if inverse:
+        perm = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    runs = []
+    for p in perm:
+        if runs and runs[-1][-1] + 1 == p:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    by_source = sorted(range(len(runs)), key=lambda r: runs[r][0])
+    shape = tuple(2 ** len(runs[r]) for r in by_source)
+    return shape, tuple(by_source.index(r) for r in range(len(runs)))
+
+
+def permute_qubits(amps, perm, inverse=False):
+    """``amps`` with new qubit i taken from old qubit ``perm[i]``.
+
+    The array ``np.transpose(amps.reshape((2,) * n), perm)`` with its
+    axes grouped so that a wide register transposes only a few, which
+    reshapes to the same bytes.  ``inverse=True`` undoes ``perm``.
+    """
+    shape, axes = _transpose_plan(tuple(perm), inverse)
+    return np.transpose(amps.reshape(shape), axes)
+
+
+def _apply_on(u, amps, num_qubits, targets, columns=0):
+    """``u`` on ``targets`` of a register array with ``2**columns``
+    columns per amplitude (they ride along as wires that never move)."""
+    u = np.asarray(u, dtype=complex)
+    targets = _check_targets(num_qubits, targets)
+    k = len(targets)
+    if u.shape != (2**k, 2**k):
+        raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
+    order = targets + [q for q in range(num_qubits + columns) if q not in targets]
+    out = u @ permute_qubits(amps, order).reshape(2**k, -1)
+    return permute_qubits(out, order, inverse=True)
+
+
 def apply_unitary(u, s, targets):
     """Apply a ``2**k x 2**k`` matrix to the ordered ``targets`` of ``s``.
 
@@ -112,19 +160,8 @@ def apply_unitary(u, s, targets):
     index space.  Returns a new StateVector; dimension mismatches and
     bad targets raise ValueError.
     """
-    u = np.asarray(u, dtype=complex)
-    targets = _check_targets(s.num_qubits, targets)
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(
-            f"matrix shape {u.shape} does not act on {k} qubit(s)"
-        )
-    n = s.num_qubits
-    psi = s.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = u @ psi.reshape(2**k, -1)
-    psi = np.moveaxis(psi.reshape((2,) * n), range(k), targets)
-    return StateVector(n, psi.reshape(-1))
+    psi = _apply_on(u, s.amplitudes, s.num_qubits, targets)
+    return StateVector(s.num_qubits, psi.reshape(-1))
 
 
 def inner_product(a, b):
@@ -166,17 +203,9 @@ def require_unitary(u, tol=UNITARY_TOL):
 
 def embed_unitary(u, num_qubits, targets):
     """Expand a k-qubit matrix to the full ``2**num_qubits`` register."""
-    u = np.asarray(u, dtype=complex)
-    targets = _check_targets(num_qubits, targets)
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
-    dim = 2**num_qubits
     # columns of the embedded matrix are the images of basis states
-    m = np.eye(dim, dtype=complex).reshape((2,) * num_qubits + (dim,))
-    m = np.moveaxis(m, targets, range(k))
-    m = u @ m.reshape(2**k, -1)
-    m = np.moveaxis(m.reshape((2,) * num_qubits + (dim,)), range(k), targets)
+    dim = 2**num_qubits
+    m = _apply_on(u, np.eye(dim, dtype=complex), num_qubits, targets, num_qubits)
     return m.reshape(dim, dim)
 
 
@@ -185,8 +214,7 @@ def reorder_qubits(s, perm):
     n = s.num_qubits
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-    psi = s.amplitudes.reshape((2,) * n)
-    return StateVector(n, np.transpose(psi, perm).reshape(-1))
+    return StateVector(n, permute_qubits(s.amplitudes, perm).reshape(-1))
 
 
 def factor_out(s, dead, tol=STATE_TOL):
@@ -200,9 +228,7 @@ def factor_out(s, dead, tol=STATE_TOL):
     dead = sorted(set(dead))
     _check_targets(s.num_qubits, dead)
     keep = [q for q in range(s.num_qubits) if q not in dead]
-    n = s.num_qubits
-    psi = s.amplitudes.reshape((2,) * n)
-    mat = np.transpose(psi, dead + keep).reshape(2 ** len(dead), -1)
+    mat = permute_qubits(s.amplitudes, dead + keep).reshape(2 ** len(dead), -1)
     norms2 = np.einsum("ij,ij->i", mat, mat.conj()).real
     row = int(np.argmax(norms2))
     if norms2[row] < 1e-12:

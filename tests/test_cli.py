@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mbqcsim.cli import main
-from mbqcsim.gadgets import format_table1
+from mbqcsim.gadgets import GadgetOutcome, format_table1
 
 EXAMPLE = "qubits 2\nCNOT 0 1\nH 0\n"
 
@@ -162,8 +162,53 @@ def test_seed_env_fallback(circuit_file, monkeypatch, capsys):
 
 def test_seed_env_must_be_integer(circuit_file, monkeypatch, capsys):
     monkeypatch.setenv("MBQC_SEED", "not-a-number")
-    with pytest.raises(SystemExit, match="MBQC_SEED"):
-        main(["simulate", "--circuit", circuit_file])
+    code, out, err = run_cli(["simulate", "--circuit", circuit_file], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: MBQC_SEED is not an integer: 'not-a-number'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["stats", "--max-k", "-1"], "--max-k must be at least 0, got -1"),
+        (["simulate", "--trials", "-1"], "--trials must be at least 1, got -1"),
+        (["compare", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["verify-table1", "--states", "0"], "--states must be at least 1, got 0"),
+    ],
+)
+def test_bad_counts_exit_2_with_one_line(argv, message, circuit_file, capsys):
+    if argv[0] in ("simulate", "compare"):
+        argv = [*argv, "--circuit", circuit_file]
+    code, out, err = run_cli([*argv, "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_retry_limit_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    from mbqcsim import engines
+
+    def never_clean(u, s, q, rng):
+        return GadgetOutcome(s, None, (0, 1), 1 / 16)
+
+    monkeypatch.setattr(engines, "one_qubit_gadget", never_clean)
+    path = tmp_path / "h.mbqc"
+    path.write_text("qubits 1\nH 0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["simulate", "--circuit", str(path), "--engine", "nielsen",
+         "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "# seed 1"
+    assert lines[1:] == [
+        "error: retry loop on qubit 0 found no clean outcome in 200 attempts;"
+        " last word (0, 1)"
+    ]
 
 
 def test_auto_seed_announced(circuit_file, monkeypatch, capsys):
@@ -185,6 +230,15 @@ def test_verify_table1_passes(capsys):
     assert code == 0
     assert "table verification: PASS (2 random states per key)" in out
     assert "sigma_p=Z n=3" in out
+
+
+def test_verify_table1_renders_realized_identity(capsys):
+    code, out, _ = run_cli(
+        ["verify-table1", "--states", "2", "--seed", "0"], capsys
+    )
+    assert code == 0
+    assert out.count(" -> I  expected I  ok") == 16
+    assert "?" not in out
 
 
 def test_verify_table1_fails_on_corrupted_file(tmp_path, capsys):

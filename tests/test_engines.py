@@ -6,6 +6,7 @@ import pytest
 from mbqcsim.circuit import (
     CNOT_MATRIX,
     GATE_MATRICES,
+    H_MATRIX,
     circuit_unitary,
     oracle_apply,
     parse_circuit,
@@ -13,6 +14,8 @@ from mbqcsim.circuit import (
 from mbqcsim.engines import (
     ENGINE_NAMES,
     ENGINES,
+    MAX_LOOP_ATTEMPTS,
+    RetryLimitExceeded,
     TerminationModel,
     compare_costs,
     one_qubit_loop,
@@ -27,6 +30,7 @@ from mbqcsim.engines import (
     summarize_costs,
     termination_tail,
 )
+from mbqcsim.gadgets import GadgetOutcome
 from mbqcsim.measurement import RandomSource, computational_distribution
 from mbqcsim.numerics import (
     StateVector,
@@ -60,6 +64,21 @@ def test_one_qubit_loop_terminates_clean():
         assert words[-1][0] == words[-1][1]
         expect = StateVector(1, u @ s.amplitudes)
         assert equal_up_to_global_phase(expect, out)
+
+
+def test_one_qubit_loop_is_bounded(monkeypatch):
+    from mbqcsim import engines
+
+    calls = []
+
+    def never_clean(u, s, q, rng):
+        calls.append(q)
+        return GadgetOutcome(s, None, (len(calls) % 4, (len(calls) + 1) % 4), 1 / 16)
+
+    monkeypatch.setattr(engines, "one_qubit_gadget", never_clean)
+    with pytest.raises(RetryLimitExceeded, match="no clean outcome in 200"):
+        one_qubit_loop(H_MATRIX, basis_state("0"), 0, RandomSource(1))
+    assert len(calls) == MAX_LOOP_ATTEMPTS == 200
 
 
 def test_one_qubit_loop_deterministic():

@@ -383,3 +383,59 @@ def test_verify_table1_reports_branch_probabilities():
     report = verify_table1(states_per_key=2, seed=19)
     for c in report.checks:
         assert abs(c.mean_probability - 1 / 16) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sampling builds only the branch it keeps
+# ---------------------------------------------------------------------------
+
+
+def _gadget_pairs(num_qubits=3):
+    """(name, sample(rng), enumerate()) for each gadget on one input."""
+    s = random_state(num_qubits, np.random.default_rng(31))
+    u = haar_unitary(2, np.random.default_rng(32))
+    return [
+        ("one_qubit", lambda rng: one_qubit_gadget(u, s, 1, rng),
+         lambda: one_qubit_branches(u, s, 1)),
+        ("adapted_t", lambda rng: adapted_t_gadget(s, 2, L.Y, rng),
+         lambda: adapted_t_branches(s, 2, L.Y)),
+        ("cnot", lambda rng: cnot_gadget(s, 2, 0, rng),
+         lambda: cnot_branches(s, 2, 0)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_branch_is_bitwise_the_enumerated_one(seed):
+    for name, sample, enumerate_all in _gadget_pairs():
+        out = sample(RandomSource(seed))
+        same = [b for b in enumerate_all() if b.transcript == out.transcript]
+        assert len(same) == 1, name
+        b = same[0]
+        assert out.branch_probability == b.branch_probability, name
+        assert out.byproduct == b.byproduct, name
+        assert np.array_equal(out.post_state.amplitudes, b.post_state.amplitudes), name
+
+
+@pytest.mark.parametrize("name, measurements", [
+    ("one_qubit", 2), ("adapted_t", 3), ("cnot", 2),
+])
+def test_sampled_gadget_builds_one_post_state_per_measurement(
+    name, measurements, monkeypatch
+):
+    from mbqcsim import measurement
+
+    sample = {n: f for n, f, _ in _gadget_pairs()}[name]
+    built = []
+    real = measurement._post_state
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(measurement, "_post_state", counting)
+    sample(RandomSource(4))
+    assert len(built) == measurements
+    # enumeration still builds every kept branch: 4 + 16, or 4 + 8 + 16 for T
+    built.clear()
+    {n: f for n, _, f in _gadget_pairs()}[name]()
+    assert len(built) == {"one_qubit": 20, "adapted_t": 28, "cnot": 20}[name]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbqcsim.numerics import (
     StateVector,
@@ -13,6 +15,7 @@ from mbqcsim.numerics import (
     haar_unitary,
     inner_product,
     overlap,
+    permute_qubits,
     random_state,
     reorder_qubits,
     require_unitary,
@@ -221,3 +224,31 @@ def test_overlap_invariant_under_shared_unitary():
             apply_unitary(u, a, (0, 1)), apply_unitary(u, b, (0, 1))
         )
         assert np.isclose(before, after, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# merged-axis qubit permutations
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.permutations(range(n))))
+def test_permute_qubits_is_the_plain_transpose(perm):
+    n = len(perm)
+    a = np.random.default_rng(n).standard_normal(2**n) + 0j
+    a += 1j * np.arange(2**n)
+    expected = np.transpose(a.reshape((2,) * n), perm).reshape(-1)
+    assert np.array_equal(permute_qubits(a, perm).reshape(-1), expected)
+    back = permute_qubits(expected, perm, inverse=True).reshape(-1)
+    assert np.array_equal(back, a)
+
+
+def test_permute_qubits_merges_adjacent_runs():
+    # 16 qubits in three runs: two blocks swapped around a single wire
+    perm = [*range(8, 16), 7, *range(7)]
+    assert permute_qubits(np.zeros(2**16), perm).ndim == 3
+
+
+def test_permute_qubits_rejects_non_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        permute_qubits(np.zeros(4), [1, 1])
