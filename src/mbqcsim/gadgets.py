@@ -60,7 +60,6 @@ from .numerics import (
     overlap,
     random_state,
     reorder_qubits,
-    require_unitary,
     tensor,
 )
 from .pauli import (
@@ -283,12 +282,11 @@ def _one_wire_spec(s, q, plan, decode):
 
 
 def _one_qubit_spec(u, s, q):
-    u = require_unitary(u)
-
     def decode(word):
         n_lbl, m_lbl = word
         return multiply(PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),)))
 
+    # u_basis rejects a u that is not unitary, once per distinct matrix
     return _one_wire_spec(
         s, q, lambda a1, a2: [u_basis(u, (a1, a2)), bell_basis((q, a1))], decode
     )
