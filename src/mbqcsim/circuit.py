@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StateVector, apply_unitary, embed_unitary
+from .numerics import apply_unitary, embed_unitary
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,6 +30,9 @@ CNOT_MATRIX = np.array(
 
 GATE_MATRICES = {"H": H_MATRIX, "T": T_MATRIX, "CNOT": CNOT_MATRIX}
 GATE_ARITY = {"H": 1, "T": 1, "CNOT": 2}
+
+#: widest register ``circuit_unitary`` builds a dense matrix for
+MAX_UNITARY_QUBITS = 6
 
 
 class CircuitParseError(ValueError):
@@ -47,12 +50,11 @@ class Gate:
 
     def __post_init__(self):
         if self.kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate {self.kind!r}")
         qubits = tuple(int(q) for q in self.qubits)
         if len(qubits) != GATE_ARITY[self.kind]:
             raise ValueError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} qubit(s), "
-                f"got {qubits}"
+                f"{self.kind} takes {GATE_ARITY[self.kind]} qubit argument(s)"
             )
         if self.kind == "CNOT" and qubits[0] == qubits[1]:
             raise ValueError("control equals target")
@@ -69,68 +71,56 @@ class Circuit:
 
     def __post_init__(self):
         if self.num_qubits < 0:
-            raise ValueError("num_qubits must be nonnegative")
+            raise ValueError("qubit count must be nonnegative")
         gates = tuple(self.gates)
         for g in gates:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
-                    raise ValueError(
-                        f"gate {g.render()} out of range for "
-                        f"{self.num_qubits} qubit(s)"
-                    )
+                    raise ValueError(f"qubit {q} out of range")
         object.__setattr__(self, "gates", gates)
 
     def __len__(self):
         return len(self.gates)
 
 
+def _integer(field, message):
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def parse_circuit(text):
-    """Parse circuit text; raises CircuitParseError with a line number."""
+    """Parse circuit text; raises CircuitParseError with a line number.
+
+    ``Gate`` and ``Circuit`` validate every statement; their message
+    gets the number of the line it came from.
+    """
     num_qubits = None
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        head = fields[0].upper()
-        if num_qubits is None:
-            if head != "QUBITS":
-                raise CircuitParseError(
-                    "expected 'qubits <n>' header before gates", lineno
-                )
-            if len(fields) != 2:
-                raise CircuitParseError("malformed qubits header", lineno)
-            try:
-                num_qubits = int(fields[1])
-            except ValueError:
-                raise CircuitParseError(
-                    f"invalid qubit count {fields[1]!r}", lineno
-                ) from None
-            if num_qubits < 0:
-                raise CircuitParseError("qubit count must be nonnegative", lineno)
-            continue
-        if head == "QUBITS":
-            raise CircuitParseError("duplicate qubits header", lineno)
-        if head not in GATE_ARITY:
-            raise CircuitParseError(f"unknown gate {fields[0]!r}", lineno)
-        args = fields[1:]
-        if len(args) != GATE_ARITY[head]:
-            raise CircuitParseError(
-                f"{head} takes {GATE_ARITY[head]} qubit argument(s)", lineno
-            )
+        head, *args = line.split()
+        head = head.upper()
         try:
-            qubits = tuple(int(a) for a in args)
-        except ValueError:
-            raise CircuitParseError(
-                f"invalid qubit index in {line!r}", lineno
-            ) from None
-        for q in qubits:
-            if not 0 <= q < num_qubits:
-                raise CircuitParseError(f"qubit {q} out of range", lineno)
-        if head == "CNOT" and qubits[0] == qubits[1]:
-            raise CircuitParseError("control equals target", lineno)
-        gates.append(Gate(head, qubits))
+            if num_qubits is None:
+                if head != "QUBITS":
+                    raise ValueError("expected 'qubits <n>' header before gates")
+                if len(args) != 1:
+                    raise ValueError("malformed qubits header")
+                count = _integer(args[0], f"invalid qubit count {args[0]!r}")
+                num_qubits = Circuit(count, ()).num_qubits  # rejects count < 0
+            elif head == "QUBITS":
+                raise ValueError("duplicate qubits header")
+            else:
+                bad = f"invalid qubit index in {line!r}"
+                gate = Gate(head, [_integer(a, bad) for a in args])
+                Circuit(num_qubits, (gate,))
+                gates.append(gate)
+        except ValueError as exc:
+            raise CircuitParseError(str(exc), lineno) from None
     if num_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", 1)
     return Circuit(num_qubits, tuple(gates))
@@ -155,11 +145,12 @@ def oracle_apply(c, s):
     return out
 
 
-def circuit_unitary(c, max_qubits=6):
+def circuit_unitary(c):
     """Dense unitary of the whole circuit (right-to-left product)."""
-    if c.num_qubits > max_qubits:
+    if c.num_qubits > MAX_UNITARY_QUBITS:
         raise ValueError(
-            f"register too large: {c.num_qubits} qubits (limit {max_qubits})"
+            f"register too large: {c.num_qubits} qubits "
+            f"(limit {MAX_UNITARY_QUBITS})"
         )
     u = np.eye(2**c.num_qubits, dtype=complex)
     for g in c.gates:

@@ -12,10 +12,11 @@ Subcommands:
   emit a per-run cost CSV.
 
 Exit codes: 0 success, 1 verification or fidelity failure, 2 bad
-usage, unreadable input, or a retry loop that hit its attempt cap;
-each exit 2 prints one ``error:`` line.  Seeds come from --seed, else the
-MBQC_SEED environment variable, else fresh entropy; the chosen seed
-is always echoed to stderr so any run can be replayed.
+usage, unreadable input, a register too wide to allocate, or a retry
+loop that hit its attempt cap; each exit 2 prints one ``error:`` line.
+Seeds come from --seed, else the MBQC_SEED environment variable, else
+fresh entropy; the chosen seed is always echoed to stderr so any run
+can be replayed.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .engines import (
     ENGINE_NAMES,
     ENGINES,
     RetryLimitExceeded,
-    TerminationModel,
     compare_costs,
     sample_attempt_counts,
+    termination_tail,
 )
 from .gadgets import load_table1, verify_table1
 from .measurement import RandomSource
@@ -130,7 +131,6 @@ def _cmd_verify_table1(args):
 def _cmd_stats(args):
     seed = _seed(args.seed)
     counts = sample_attempt_counts(args.trials, RandomSource(seed))
-    model = TerminationModel()
     total = int(counts.sum())
     lines = [
         f"# seed {seed}",
@@ -141,7 +141,7 @@ def _cmd_stats(args):
         "k,empirical_tail,model_tail,stderr",
     ]
     for k in range(args.max_k + 1):
-        tail = model.tail(k)
+        tail = termination_tail(k)
         empirical = float(np.mean(counts > k))
         err = np.sqrt(tail * (1.0 - tail) / args.trials)
         lines.append(f"{k},{empirical:.6f},{tail:.6f},{err:.6f}")
@@ -186,7 +186,6 @@ def build_parser():
         default=None,
         help="initial register: bit string or 'random' (default all zeros)",
     )
-    sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument(
         "--finalize",
@@ -194,7 +193,6 @@ def build_parser():
         default="apply",
         help="frame engine only: apply the frame or report it raw",
     )
-    sim.add_argument("--out", default=None, help="write output to a file")
     sim.set_defaults(func=_cmd_simulate)
 
     ver = sub.add_parser(
@@ -202,24 +200,22 @@ def build_parser():
     )
     ver.add_argument("--table", default=None, help="table file (default: packaged)")
     ver.add_argument("--states", type=int, default=20, help="random states per key")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify_table1)
 
     st = sub.add_parser("stats", help="retry-loop attempt statistics as CSV")
     st.add_argument("--trials", type=int, default=10000)
     st.add_argument("--max-k", type=int, default=10, help="largest tail cutoff")
-    st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--out", default=None)
     st.set_defaults(func=_cmd_stats)
 
     cmp_ = sub.add_parser("compare", help="per-engine gadget-cost CSV")
     cmp_.add_argument("--circuit", required=True)
     cmp_.add_argument("--trials", type=int, default=20)
-    cmp_.add_argument("--seed", type=int, default=None)
-    cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=_cmd_compare)
 
+    # every subcommand takes a seed and writes to stdout or --out
+    for cmd in (sim, ver, st, cmp_):
+        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
@@ -234,6 +230,10 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError, RetryLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,16 @@
 """Circuit execution engines built on the teleportation gadgets.
 
-Three strategies for dealing with the random Pauli byproducts:
+Three strategies for dealing with the random Pauli byproducts.  Each
+gadget decodes its own outcome word into ``GadgetOutcome.byproduct``;
+the engines differ only in what they do with it:
 
 * ``nielsen``: repeat-until-clean.  Every one-qubit gate runs a retry
-  loop (success when the two outcome labels agree, probability 1/4
+  loop (success when the byproduct is the identity, probability 1/4
   per attempt); a CNOT costs one gadget call plus one retry loop per
   non-identity byproduct letter.  Gadget count is random.
 * ``postponed``: accept every byproduct, accumulate the realized
-  unitary U_sim as a dense matrix, and apply the single correction
-  C = U_circuit U_sim^dagger at the end.  Exactly one gadget call per
+  unitary U_sim from the byproducts as a dense matrix, and apply the
+  single correction C = U_circuit U_sim^dagger at the end.  Exactly one gadget call per
   gate; the closing correction is a dense unitary, not a gadget.
 * ``frame``: track the byproducts as a Pauli frame in classical
   software.  H and CNOT conjugate the frame; T consumes the frame
@@ -46,12 +48,9 @@ from .pauli import (
     conjugate_through_H,
     letter_matrix,
     multiply,
-    render_letters,
 )
 
 _L = PauliLetter
-
-ENGINE_NAMES = ("nielsen", "postponed", "frame")
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class RunReport:
     corrective_gadget_calls: int
     fidelity_vs_oracle: float
     final_state: object
-    final_frame: PauliOperator | None
     records: tuple
+    final_frame: PauliOperator | None = None
     correction_unitary: np.ndarray | None = None
 
     def to_json_dict(self):
@@ -116,8 +115,25 @@ class RunReport:
         }
 
 
-def _fidelity(a, b):
-    return overlap(a, b) ** 2
+def _report(engine, oracle, rng, records, state, checked=None, **extra):
+    """RunReport of a finished run.
+
+    Gadget counts come from the records, one per gate; the fidelity
+    compares ``checked`` (the final state unless given) with
+    ``oracle``, the circuit's output computed by ``oracle_apply``.
+    """
+    total = sum(r.call_count() for r in records)
+    return RunReport(
+        engine=engine,
+        seed=rng.seed,
+        num_qubits=oracle.num_qubits,
+        total_gadget_calls=total,
+        corrective_gadget_calls=total - len(records),
+        fidelity_vs_oracle=overlap(oracle, state if checked is None else checked) ** 2,
+        final_state=state,
+        records=tuple(records),
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +153,9 @@ class RetryLimitExceeded(RuntimeError):
 def one_qubit_loop(u, state, q, rng):
     """Realize ``u`` at q through repeated teleportation.
 
-    An attempt with pending unitary V leaves (V sigma_n sigma_m V*) V
-    on the wire; labels n == m mean the error is trivial.  Otherwise
-    the next attempt aims at the inverse error V sigma_m sigma_n V*.
+    An attempt with pending unitary V and byproduct B leaves
+    (V B V*) V on the wire; an identity B means the error is trivial.
+    Otherwise the next attempt aims at the inverse error V B* V*.
     Returns (state, words); attempt count is geometric with success
     probability 1/4.  Raises RetryLimitExceeded after
     ``MAX_LOOP_ATTEMPTS`` attempts.
@@ -150,15 +166,9 @@ def one_qubit_loop(u, state, q, rng):
         out = one_qubit_gadget(pending, state, q, rng)
         words.append(out.transcript)
         state = out.post_state
-        n, m = out.transcript
-        if n == m:
+        if out.byproduct.is_identity_word():
             return state, tuple(words)
-        pending = (
-            pending
-            @ letter_matrix(_L(m))
-            @ letter_matrix(_L(n))
-            @ pending.conj().T
-        )
+        pending = pending @ out.byproduct.matrix().conj().T @ pending.conj().T
         # repeated conjugation drifts off the unitary manifold in
         # floats; snap back so the gadget's validator never trips
         w, _, vh = np.linalg.svd(pending)
@@ -191,19 +201,7 @@ def run_nielsen(circuit, input_state, rng):
                 GATE_MATRICES[gate.kind], state, gate.qubits[0], rng
             )
             records.append(GateRecord(gate, words))
-    total = sum(r.call_count() for r in records)
-    fid = _fidelity(oracle_apply(circuit, input_state), state)
-    return RunReport(
-        engine="nielsen",
-        seed=rng.seed,
-        num_qubits=circuit.num_qubits,
-        total_gadget_calls=total,
-        corrective_gadget_calls=total - len(circuit.gates),
-        fidelity_vs_oracle=fid,
-        final_state=state,
-        final_frame=None,
-        records=tuple(records),
-    )
+    return _report("nielsen", oracle_apply(circuit, input_state), rng, records, state)
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +209,12 @@ def run_nielsen(circuit, input_state, rng):
 # ---------------------------------------------------------------------------
 
 
-def realized_one_qubit(u, word):
-    """The 2x2 unitary a one-qubit gadget applied, given its word."""
-    n, m = word
-    return u @ letter_matrix(_L(n)) @ letter_matrix(_L(m))
-
-
-def realized_cnot(word):
-    """The 4x4 unitary a CNOT gadget applied, given its word."""
-    n, m = word
-    p = conjugate_through_CNOT(PauliOperator(0, (_L(n), _L(m))), 0, 1)
-    return p.matrix() @ CNOT_MATRIX
-
-
 def run_postponed(circuit, input_state, rng):
     """Accept all byproducts; correct once at the end.
 
     Each gate costs exactly one gadget call.  The realized unitary
-    U_sim accrues as a dense matrix, and the closing correction
+    U_sim accrues as a dense matrix, each factor built from the gate
+    and the gadget's byproduct, and the closing correction
     C = U_circuit U_sim^dagger is applied directly to the register
     (a dense unitary, so the register is capped at 6 qubits).  The
     report carries C as ``correction_unitary``.
@@ -241,33 +227,19 @@ def run_postponed(circuit, input_state, rng):
     for gate in circuit.gates:
         if gate.kind == "CNOT":
             out = cnot_gadget(state, gate.qubits[0], gate.qubits[1], rng)
-            realized = embed_unitary(realized_cnot(out.transcript), n, gate.qubits)
+            realized = out.byproduct.matrix() @ CNOT_MATRIX
         else:
-            out = one_qubit_gadget(
-                GATE_MATRICES[gate.kind], state, gate.qubits[0], rng
-            )
-            realized = embed_unitary(
-                realized_one_qubit(GATE_MATRICES[gate.kind], out.transcript),
-                n,
-                gate.qubits,
-            )
+            u = GATE_MATRICES[gate.kind]
+            out = one_qubit_gadget(u, state, gate.qubits[0], rng)
+            realized = u @ out.byproduct.matrix()
         state = out.post_state
-        u_sim = realized @ u_sim
+        u_sim = embed_unitary(realized, n, gate.qubits) @ u_sim
         records.append(GateRecord(gate, (out.transcript,)))
     correction = target @ u_sim.conj().T
     state = apply_unitary(correction, state, range(n))
-    fid = _fidelity(oracle_apply(circuit, input_state), state)
-    return RunReport(
-        engine="postponed",
-        seed=rng.seed,
-        num_qubits=n,
-        total_gadget_calls=len(circuit.gates),
-        corrective_gadget_calls=0,
-        fidelity_vs_oracle=fid,
-        final_state=state,
-        final_frame=None,
-        records=tuple(records),
-        correction_unitary=correction,
+    oracle = oracle_apply(circuit, input_state)
+    return _report(
+        "postponed", oracle, rng, records, state, correction_unitary=correction
     )
 
 
@@ -276,18 +248,7 @@ def run_postponed(circuit, input_state, rng):
 # ---------------------------------------------------------------------------
 
 
-def _embed_single(n, q, p1):
-    return PauliOperator.single(n, q, p1.letters[0], p1.phase_exp)
-
-
-def _embed_pair(n, wires, p2):
-    letters = [_L.I] * n
-    letters[wires[0]] = p2.letters[0]
-    letters[wires[1]] = p2.letters[1]
-    return PauliOperator(p2.phase_exp, tuple(letters))
-
-
-def run_frame(circuit, input_state, rng, finalize="apply", verify_each_step=False):
+def run_frame(circuit, input_state, rng, finalize="apply"):
     """Execute with software Pauli-frame tracking.
 
     Invariant: physical state == frame . (ideal prefix state) up to
@@ -298,63 +259,41 @@ def run_frame(circuit, input_state, rng, finalize="apply", verify_each_step=Fals
 
     ``finalize="apply"`` closes with one layer of Pauli letters so the
     final state matches the circuit output; ``"report"`` returns the
-    raw state plus the frame.  ``verify_each_step`` checks the
-    invariant against a directly computed prefix state after every
-    gate (slow; for diagnostics).
+    raw state plus the frame.  The run of any prefix of the circuit
+    with the same stream reports the frame after that prefix, so the
+    invariant can be checked from outside at every step.
     """
     if finalize not in ("apply", "report"):
         raise ValueError(f"finalize must be 'apply' or 'report', got {finalize!r}")
     n = circuit.num_qubits
     frame = PauliOperator.identity(n)
     state = input_state
-    ideal = input_state if verify_each_step else None
     records = []
-    for step, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         if gate.kind == "H":
             q = gate.qubits[0]
             out = one_qubit_gadget(GATE_MATRICES["H"], state, q, rng)
             frame = conjugate_through_H(
-                multiply(_embed_single(n, q, out.byproduct), frame), q
+                multiply(out.byproduct.embedded(n, gate.qubits), frame), q
             )
         elif gate.kind == "CNOT":
             out = cnot_gadget(state, gate.qubits[0], gate.qubits[1], rng)
             frame = multiply(
-                _embed_pair(n, gate.qubits, out.byproduct),
+                out.byproduct.embedded(n, gate.qubits),
                 conjugate_through_CNOT(frame, gate.qubits[0], gate.qubits[1]),
             )
-        elif gate.kind == "T":
+        else:  # T: Gate admits no other kind
             q = gate.qubits[0]
             out = adapted_t_gadget(state, q, frame.letters[q], rng)
             frame = frame.with_letter(q, out.byproduct.letters[0])
-        else:
-            raise ValueError(f"unsupported gate kind {gate.kind!r}")
         state = out.post_state
         records.append(GateRecord(gate, (out.transcript,)))
-        if verify_each_step:
-            ideal = apply_unitary(GATE_MATRICES[gate.kind], ideal, gate.qubits)
-            if overlap(apply_pauli(frame, ideal), state) < 1.0 - 1e-9:
-                raise RuntimeError(
-                    f"frame invariant violated after gate {step} "
-                    f"({gate.render()}), frame {render_letters(frame.letters)}"
-                )
     oracle = oracle_apply(circuit, input_state)
     if finalize == "apply":
-        state = apply_pauli(frame, state)
-        fid = _fidelity(oracle, state)
-        final_frame = None
-    else:
-        fid = _fidelity(oracle, apply_pauli(frame, state))
-        final_frame = frame
-    return RunReport(
-        engine="frame",
-        seed=rng.seed,
-        num_qubits=n,
-        total_gadget_calls=len(circuit.gates),
-        corrective_gadget_calls=0,
-        fidelity_vs_oracle=fid,
-        final_state=state,
-        final_frame=final_frame,
-        records=tuple(records),
+        return _report("frame", oracle, rng, records, apply_pauli(frame, state))
+    return _report(
+        "frame", oracle, rng, records, state,
+        checked=apply_pauli(frame, state), final_frame=frame,
     )
 
 
@@ -363,6 +302,7 @@ ENGINES = {
     "postponed": run_postponed,
     "frame": run_frame,
 }
+ENGINE_NAMES = tuple(ENGINES)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +339,8 @@ def reinterpret_distribution(frame, dist):
     n = frame.num_qubits
     if dist.shape != (2**n,):
         raise ValueError(f"distribution shape {dist.shape} does not match {n} qubit(s)")
-    mask = 0
-    for q, l in enumerate(frame.letters):
-        if l in (_L.X, _L.Y):
-            mask |= 1 << (n - 1 - q)
+    flips = reinterpret_outcomes(frame, (0,) * n)
+    mask = sum(bit << (n - 1 - q) for q, bit in enumerate(flips))
     return dist[np.arange(2**n) ^ mask]
 
 
@@ -411,27 +349,15 @@ def reinterpret_distribution(frame, dist):
 # ---------------------------------------------------------------------------
 
 
-def termination_tail(k, success_probability=0.25):
-    """P(a retry loop needs more than k attempts) = (1 - p)^k."""
+def termination_tail(k):
+    """P(a retry loop needs more than k attempts) = (3/4)^k.
+
+    An attempt succeeds with probability 1/4: 4 of its 16 uniform
+    words decode to the identity byproduct.
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if not 0.0 < success_probability <= 1.0:
-        raise ValueError(f"bad success probability {success_probability}")
-    return (1.0 - success_probability) ** k
-
-
-@dataclass(frozen=True)
-class TerminationModel:
-    """Geometric attempt-count model for the retry loop."""
-
-    success_probability: float = 0.25
-
-    @property
-    def mean_attempts(self):
-        return 1.0 / self.success_probability
-
-    def tail(self, k):
-        return termination_tail(k, self.success_probability)
+    return 0.75**k
 
 
 def sample_attempt_counts(trials, rng):
@@ -477,8 +403,8 @@ def compare_costs(circuit, trials, seed):
     for trial in range(trials):
         sub = src.substream(trial)
         state = random_state(circuit.num_qubits, sub.substream(0).gen)
-        for k, name in enumerate(ENGINE_NAMES):
-            report = ENGINES[name](circuit, state, sub.substream(1 + k))
+        for k, (name, run) in enumerate(ENGINES.items()):
+            report = run(circuit, state, sub.substream(1 + k))
             rows.append(
                 CostRow(
                     engine=name,
@@ -490,21 +416,3 @@ def compare_costs(circuit, trials, seed):
                 )
             )
     return rows
-
-
-def summarize_costs(rows):
-    """Per-engine means and worst fidelity over CostRow lists."""
-    out = {}
-    for name in ENGINE_NAMES:
-        mine = [r for r in rows if r.engine == name]
-        if not mine:
-            continue
-        out[name] = {
-            "runs": len(mine),
-            "mean_gadget_calls": float(np.mean([r.gadget_calls for r in mine])),
-            "mean_corrective_calls": float(
-                np.mean([r.corrective_calls for r in mine])
-            ),
-            "min_fidelity": min(r.fidelity for r in mine),
-        }
-    return out

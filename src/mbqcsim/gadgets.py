@@ -27,24 +27,29 @@ measurement-only; the two attachments are plain Bell measurements.
 
 Each gadget is one spec: the input extended by its (cached) resource
 wires, the measurement plan, the decoding of an outcome word into the
-byproduct, and the compaction back to the data wires.  Two drivers
-run every spec: ``*_gadget`` samples one path (one draw and one built
-post-state per measurement), ``*_branches`` enumerates all 16 words.
+byproduct, and the compaction back to the data wires.  The decoding
+is the one word-to-byproduct rule: engines read ``byproduct``, never
+the word.  Two drivers run every spec: ``*_gadget`` samples one path
+(one draw and one built post-state per measurement), ``*_branches``
+enumerates all 16 words.
 Both go through ``measurement_branches``, so a sampled branch is
 bit for bit the enumerated branch with the same word.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circuit import CNOT_MATRIX, T_MATRIX
 from .measurement import (
+    BELL_LABEL_FROM_SIGNS,
     RandomSource,
     bell_basis,
     enumerate_branches,
@@ -112,44 +117,18 @@ def table1_lookup(sigma_p, n, table=None):
     return (TABLE1 if table is None else table)[(sigma_p, n)]
 
 
-_THEOREM1 = {(1, 1): _L.I, (-1, 1): _L.X, (-1, -1): _L.Y, (1, -1): _L.Z}
-
-
 def theorem1_correction(r1, r2):
-    """Pauli correction implied by the (r1, r2) outcome pair."""
+    """Pauli correction implied by the (r1, r2) outcome pair: the letter
+    indexed by the Bell label of the same signs (``BELL_LABEL_FROM_SIGNS``)."""
     try:
-        return _THEOREM1[(r1, r2)]
+        return _L(BELL_LABEL_FROM_SIGNS[(r1, r2)])
     except KeyError:
         raise ValueError(f"outcomes must be +-1, got {(r1, r2)!r}") from None
 
 
 # ---------------------------------------------------------------------------
-# table serialization (shipped as a human-readable data file)
+# the table file (``data/table1.txt``, header included, is its one copy)
 # ---------------------------------------------------------------------------
-
-_TABLE1_HEADER = """\
-# Adapted T-gate measurement table, 16 rows.
-# Columns: sigma_p  n  m1_sign  m2_sign(r1=+1)  m2_sign(r1=-1)
-# Fixed letter structure: M1 = m1_sign * Z(x)Z,
-#   M2(r1=+1) = sign * X(x)X,  M2(r1=-1) = sign * Y(x)X.
-# sigma_p letters: I X Y Z (sigma0 sigma1 sigma2 sigma3).
-# Sign law (c(a,b) = +1 when sigma_a, sigma_b commute, else -1):
-#   m1 = c(n,Z)c(p,Z)   m2(+1) = c(n,X)c(p,X)   m2(-1) = -c(n,X)c(p,Y)
-"""
-
-
-def format_table1(table=None):
-    """Render a table in the shipped file format."""
-    table = TABLE1 if table is None else table
-    lines = [_TABLE1_HEADER.rstrip("\n")]
-    for letter in (_L.I, _L.X, _L.Y, _L.Z):
-        for n in range(4):
-            e = table[(letter, n)]
-            signs = (e.m1.sign, e.m2_pos.sign, e.m2_neg.sign)
-            rendered = " ".join("+" if s > 0 else "-" for s in signs)
-            lines.append(f"{letter.name} {n} {rendered}")
-    return "\n".join(lines) + "\n"
-
 
 def parse_table1(text):
     """Parse table text; raises ValueError naming the offending line."""
@@ -182,19 +161,13 @@ def parse_table1(text):
     return table
 
 
-def default_table1_path():
-    """Path of the packaged table data file."""
-    return resources.files("mbqcsim").joinpath("data/table1.txt")
-
-
 def load_table1(path=None):
-    """Load a table file (the packaged one by default)."""
+    """Load a table file (the packaged ``data/table1.txt`` by default)."""
     if path is None:
-        text = default_table1_path().read_text(encoding="utf-8")
+        source = resources.files("mbqcsim").joinpath("data/table1.txt")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_table1(text)
+        source = Path(path)
+    return parse_table1(source.read_text(encoding="utf-8"))
 
 
 #: the packaged table, the one runtime source of its 48 signs; the test
@@ -307,7 +280,7 @@ def one_qubit_branches(u, s, q):
     return _enumerate(_one_qubit_spec(u, s, q))
 
 
-def _t_spec(s, q, sigma_p, table):
+def _t_spec(s, q, sigma_p, table=None):
     """Adaptive plan for the adapted T gadget.
 
     M1/M2 are looked up from the table by (sigma_p, outcome n); their
@@ -333,15 +306,16 @@ def _t_spec(s, q, sigma_p, table):
     return _one_wire_spec(s, q, plan, decode)
 
 
-def adapted_t_gadget(s, q, sigma_p, rng, table=None):
+def adapted_t_gadget(s, q, sigma_p, rng):
     """Apply T at q to a register currently carrying sigma_p at q.
 
     Precondition: the register state is (sigma_p at q)|phi> for some
     underlying |phi>.  Post-state is (C_T T at q)|phi> up to global
     phase, with C_T = theorem1_correction(r1, r2) returned as the
-    byproduct.  Transcript is (n, r1, r2).
+    byproduct.  Transcript is (n, r1, r2).  The packaged table drives
+    it; ``adapted_t_branches`` takes any table.
     """
-    return _sample(_t_spec(s, q, sigma_p, table), rng)
+    return _sample(_t_spec(s, q, sigma_p), rng)
 
 
 def adapted_t_branches(s, q, sigma_p, table=None):
@@ -418,23 +392,23 @@ class Table1Report:
     def render(self, table=None):
         table = TABLE1 if table is None else table
         lines = []
-        for letter in (_L.I, _L.X, _L.Y, _L.Z):
-            for n in range(4):
-                e = table[(letter, n)]
+        key = None
+        for c in self.checks:
+            if (c.sigma_p, c.n) != key:
+                key = (c.sigma_p, c.n)
+                e = table[key]
                 lines.append(
-                    f"sigma_p={letter.name} n={n}  M1={e.m1}  "
+                    f"sigma_p={c.sigma_p.name} n={c.n}  M1={e.m1}  "
                     f"M2(r1=+1)={e.m2_pos}  M2(r1=-1)={e.m2_neg}"
                 )
-                for c in self.checks:
-                    if c.sigma_p is letter and c.n == n:
-                        realized = "?" if c.realized is None else c.realized.name
-                        lines.append(
-                            f"  (r1={c.r1:+d}, r2={c.r2:+d}) -> {realized}  "
-                            f"expected {c.expected.name}  "
-                            f"{'ok' if c.ok else 'MISMATCH'}  "
-                            f"p~{c.mean_probability:.4f}  "
-                            f"max deficit {c.max_deficit:.2e}"
-                        )
+            realized = "?" if c.realized is None else c.realized.name
+            lines.append(
+                f"  (r1={c.r1:+d}, r2={c.r2:+d}) -> {realized}  "
+                f"expected {c.expected.name}  "
+                f"{'ok' if c.ok else 'MISMATCH'}  "
+                f"p~{c.mean_probability:.4f}  "
+                f"max deficit {c.max_deficit:.2e}"
+            )
         verdict = "PASS" if self.ok else "FAIL"
         lines.append(
             f"table verification: {verdict} "
@@ -443,20 +417,32 @@ class Table1Report:
         return "\n".join(lines) + "\n"
 
 
-def verify_table1(table=None, states_per_key=20, seed=0, tol=1e-9):
+#: largest fidelity deficit a verified branch may show
+VERIFY_TOL = 1e-9
+
+
+def verify_table1(table=None, states_per_key=20, seed=0):
     """Check every (sigma_p, n, r1, r2) branch against the correction map.
 
     For each key the gadget's branches are exhaustively enumerated on
     ``states_per_key`` random inputs; every branch's post-state must
-    match (C_T T)|phi> within ``tol`` fidelity deficit, where C_T is
-    theorem1_correction(r1, r2) and |phi> the underlying input below
-    the sigma_p twist.  The realized correction letter is recovered
-    independently by matching against all four candidates.
+    match (C_T T)|phi> within ``VERIFY_TOL`` fidelity deficit, where
+    C_T is theorem1_correction(r1, r2) and |phi> the underlying input
+    below the sigma_p twist.  The realized correction letter is
+    recovered independently by matching against all four candidates
+    (the first best fit on a tie), on the last input.  A branch that
+    some input does not reach fails with deficit 1.
     """
+    if states_per_key < 1:
+        raise ValueError(f"states_per_key must be at least 1, got {states_per_key}")
     rng = RandomSource(seed)
-    results = {}
-    probs = {}
-    for letter in (_L.I, _L.X, _L.Y, _L.Z):
+    # per key and input: (realized letter, deficit, best fit expected, p);
+    # an input that does not reach the branch: no letter, deficit 1, p = 0
+    runs = {
+        key: [(None, 1.0, False, 0.0)] * states_per_key
+        for key in itertools.product(_L, range(4), (1, -1), (1, -1))
+    }
+    for letter in _L:
         gen = rng.substream(int(letter)).gen
         for trial in range(states_per_key):
             phi = random_state(1, gen)
@@ -468,56 +454,32 @@ def verify_table1(table=None, states_per_key=20, seed=0, tol=1e-9):
                 cand: StateVector(1, letter_matrix(cand) @ ideal, normalize=True)
                 for cand in _L
             }
-            seen = set()
             for b in adapted_t_branches(twisted, 0, letter, table):
-                n_lbl, r1, r2 = b.transcript
-                seen.add(b.transcript)
-                expected = theorem1_correction(r1, r2)
-                fits = {
-                    cand: overlap(candidates[cand], b.post_state) for cand in _L
-                }
-                realized = max(fits, key=lambda c: fits[c])
-                deficit = 1.0 - fits[expected]
-                key = (letter, n_lbl, r1, r2)
-                prev = results.get(key, (expected, realized, 0.0, True))
-                results[key] = (
-                    expected,
-                    realized if fits[realized] >= 1.0 - tol else None,
-                    max(prev[2], deficit),
-                    prev[3] and realized is expected and deficit <= tol,
+                fits = {cand: overlap(candidates[cand], b.post_state) for cand in _L}
+                best = max(fits, key=fits.get)
+                expected = theorem1_correction(*b.transcript[1:])
+                runs[(letter, *b.transcript)][trial] = (
+                    best if fits[best] >= 1.0 - VERIFY_TOL else None,
+                    1.0 - fits[expected],
+                    best is expected,
+                    b.branch_probability,
                 )
-                probs.setdefault(key, []).append(b.branch_probability)
-            if len(seen) != 16:
-                # a branch never reached: record as a failure marker
-                for n_lbl in range(4):
-                    for r1 in (1, -1):
-                        for r2 in (1, -1):
-                            t = (n_lbl, r1, r2)
-                            if t not in seen:
-                                key = (letter, *t)
-                                results[key] = (
-                                    theorem1_correction(r1, r2),
-                                    None,
-                                    1.0,
-                                    False,
-                                )
-                                probs.setdefault(key, []).append(0.0)
     checks = []
-    for (letter, n_lbl, r1, r2), (expected, realized, deficit, ok) in sorted(
-        results.items(), key=lambda kv: (int(kv[0][0]), kv[0][1], -kv[0][2], -kv[0][3])
-    ):
+    for (letter, n_lbl, r1, r2), per_input in runs.items():
+        realized, deficits, matched, probs = zip(*per_input)
+        # the 0.0 floor keeps a -2e-16 rounding deficit from printing
+        deficit = max(0.0, *deficits)
         checks.append(
             Table1BranchCheck(
                 sigma_p=letter,
                 n=n_lbl,
                 r1=r1,
                 r2=r2,
-                expected=expected,
-                realized=realized,
+                expected=theorem1_correction(r1, r2),
+                realized=realized[-1],
                 max_deficit=deficit,
-                mean_probability=float(np.mean(probs[(letter, n_lbl, r1, r2)])),
-                ok=ok,
+                mean_probability=float(np.mean(probs)),
+                ok=deficit <= VERIFY_TOL and all(matched),
             )
         )
-    all_ok = bool(checks) and all(c.ok for c in checks) and len(checks) == 64
-    return Table1Report(tuple(checks), states_per_key, all_ok)
+    return Table1Report(tuple(checks), states_per_key, all(c.ok for c in checks))

@@ -103,7 +103,8 @@ class BasisMeasurement:
 
     vectors: tuple
     targets: tuple = (0, 1)
-    labels: tuple = (0, 1, 2, 3)
+    #: the outcome of vector i (a class constant, not a field)
+    labels = (0, 1, 2, 3)
 
     def __post_init__(self):
         vectors = tuple(self.vectors)
@@ -115,7 +116,6 @@ class BasisMeasurement:
             raise ValueError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     def retargeted(self, targets):
         """The same basis on other wires; the vectors were checked once."""
@@ -220,31 +220,24 @@ def measurement_branches(s, m):
 
 
 def _sample(s, m, rng):
-    """One ``rng.choose`` draw over the branches of one measurement."""
+    """One ``rng.choose`` draw over the branches of one measurement.
+
+    The branches not drawn, and the amplitudes they hold, are freed on
+    return, before the next measurement allocates its own.
+    """
     branches = measurement_branches(s, m)
     return branches[rng.choose([b.probability for b in branches])]
 
 
-def measure_basis(s, m, rng):
-    """Sample one outcome of a basis measurement or a signed observable.
-
-    Returns (label or eigenvalue, post_state).
-    """
-    b = _sample(s, m, rng)
-    return b.outcomes[0], b.post_state
-
-
-measure_observable = measure_basis
-
-
-def enumerate_branches(s, plan, prune=PRUNE_TOL):
+def enumerate_branches(s, plan):
     """Expand a measurement plan into all outcome words.
 
     ``plan`` is a sequence whose items are measurements or callables;
     a callable receives the outcome word so far and returns the next
     measurement, which lets plans adapt to earlier outcomes.  Returns
-    OutcomeBranch leaves with joint probabilities; joint probabilities
-    of the returned branches sum to 1 up to pruning.
+    OutcomeBranch leaves with joint probabilities; a path whose joint
+    probability falls below ``PRUNE_TOL`` is dropped, so those of the
+    returned branches sum to 1 up to pruning.
     """
     leaves = []
 
@@ -257,7 +250,7 @@ def enumerate_branches(s, plan, prune=PRUNE_TOL):
             item = item(word)
         for b in measurement_branches(state, item):
             joint = prob * b.probability
-            if joint < prune:
+            if joint < PRUNE_TOL:
                 continue
             walk(b.post_state, word + b.outcomes, joint, remaining[1:])
 

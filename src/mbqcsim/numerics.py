@@ -19,7 +19,7 @@ import numpy as np
 
 #: default tolerance for state equality / normalization checks
 STATE_TOL = 1e-9
-#: default tolerance for unitarity checks
+#: tolerance of the unitarity check
 UNITARY_TOL = 1e-9
 
 
@@ -68,10 +68,6 @@ class StateVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
-
-    @property
-    def dim(self):
-        return self.amplitudes.size
 
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -186,17 +182,17 @@ def equal_up_to_global_phase(a, b, tol=STATE_TOL):
     return overlap(a, b) >= 1.0 - tol
 
 
-def require_unitary(u, tol=UNITARY_TOL):
+def require_unitary(u):
     """Validate unitarity and return the matrix as complex128.
 
     Raises ValueError when ``u`` is not square or ``u u† != I``
-    within ``tol``.
+    within ``UNITARY_TOL``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
 
@@ -217,13 +213,13 @@ def reorder_qubits(s, perm):
     return StateVector(n, permute_qubits(s.amplitudes, perm).reshape(-1))
 
 
-def factor_out(s, dead, tol=STATE_TOL):
+def factor_out(s, dead):
     """Remove qubits that are in a pure state unentangled with the rest.
 
     Returns the state of the remaining qubits, in their original
     relative order.  Raises ValueError when the ``dead`` qubits are
     still entangled with the keep set (an ancilla leak), detected by a
-    rank-1 residual check.
+    rank-1 residual above ``STATE_TOL``.
     """
     dead = sorted(set(dead))
     _check_targets(s.num_qubits, dead)
@@ -236,7 +232,7 @@ def factor_out(s, dead, tol=STATE_TOL):
     live = mat[row] / np.sqrt(norms2[row])
     coeffs = mat @ live.conj()
     residual = float(np.linalg.norm(mat - np.outer(coeffs, live)))
-    if residual > tol:
+    if residual > STATE_TOL:
         raise ValueError(
             f"qubits {dead} remain entangled with the register "
             f"(rank-1 residual {residual:.3e})"

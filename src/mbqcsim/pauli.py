@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import _check_targets
+from .numerics import _check_targets, apply_unitary
 
 
 class PauliLetter(enum.IntEnum):
@@ -89,9 +89,15 @@ class PauliOperator:
     @classmethod
     def single(cls, num_qubits, qubit, letter, phase_exp=0):
         """Embed one letter at ``qubit``, identity elsewhere."""
+        return cls(phase_exp, (letter,)).embedded(num_qubits, [qubit])
+
+    def embedded(self, num_qubits, wires):
+        """This operator on ``wires`` of a wider register, identity
+        elsewhere: letter i lands on ``wires[i]``, the phase is kept."""
         letters = [_L.I] * num_qubits
-        letters[qubit] = PauliLetter(letter)
-        return cls(phase_exp, tuple(letters))
+        for w, l in zip(_check_targets(num_qubits, wires), self.letters, strict=True):
+            letters[w] = l
+        return PauliOperator(self.phase_exp, tuple(letters))
 
     @property
     def num_qubits(self):
@@ -106,9 +112,11 @@ class PauliOperator:
         return all(l is _L.I for l in self.letters)
 
     def matrix(self):
+        # np.kron's products in np.kron's order, without its overhead
         m = np.ones((1, 1), dtype=complex)
         for l in self.letters:
-            m = np.kron(m, _LETTER_MATRICES[l])
+            s = _LETTER_MATRICES[l]
+            m = (m[:, None, :, None] * s[None, :, None, :]).reshape(2 * len(m), -1)
         return PHASES[self.phase_exp] * m
 
     def with_letter(self, qubit, letter):
@@ -117,16 +125,12 @@ class PauliOperator:
         return PauliOperator(self.phase_exp, tuple(letters))
 
     def __str__(self):
-        return render_pauli(self)
+        """Text form like ``i^1 . X(x)I(x)Z`` (with real tensor glyphs)."""
+        return f"i^{self.phase_exp} · {render_letters(self.letters)}"
 
 
 def render_letters(letters):
     return "⊗".join(PauliLetter(l).name for l in letters)
-
-
-def render_pauli(p):
-    """Text form like ``i^1 . X(x)I(x)Z`` (with real tensor glyphs)."""
-    return f"i^{p.phase_exp} · {render_letters(p.letters)}"
 
 
 def multiply(p, q):
@@ -280,8 +284,6 @@ def apply_pauli(p, s):
 
     The i^k phase is NOT applied; callers compare up to global phase.
     """
-    from .numerics import apply_unitary
-
     if p.num_qubits != s.num_qubits:
         raise ValueError(
             f"qubit count mismatch: {p.num_qubits} vs {s.num_qubits}"

@@ -20,8 +20,6 @@ from mbqcsim.circuit import (
 )
 from mbqcsim.engines import (
     compare_costs,
-    realized_cnot,
-    realized_one_qubit,
     reinterpret_distribution,
     run_frame,
     run_postponed,
@@ -82,7 +80,7 @@ def attempt_counts():
 
 def test_criterion_1_adapted_t_table_and_correction_map():
     t0 = perf_counter()
-    report = verify_table1(states_per_key=20, seed=2026, tol=1e-9)
+    report = verify_table1(states_per_key=20, seed=2026)
     elapsed = perf_counter() - t0
     worst = max(c.max_deficit for c in report.checks)
     complete = len(report.checks) == 64 and all(
@@ -216,14 +214,17 @@ def test_criterion_5_frame_engine_fixed_cost_and_fidelity():
 
 
 def reconstruct_u_sim(report):
+    """U_sim from the transcripts alone: a one-qubit word (n, m) realized
+    u sigma_n sigma_m, a CNOT word CNOT (sigma_n (x) sigma_m)."""
     n = report.num_qubits
     u_sim = np.eye(2**n, dtype=complex)
     for rec in report.records:
-        word = rec.attempts[0]
+        n_lbl, m_lbl = rec.attempts[0]
+        sigma_n, sigma_m = letter_matrix(L(n_lbl)), letter_matrix(L(m_lbl))
         if rec.gate.kind == "CNOT":
-            realized = realized_cnot(word)
+            realized = CNOT_MATRIX @ np.kron(sigma_n, sigma_m)
         else:
-            realized = realized_one_qubit(GATE_MATRICES[rec.gate.kind], word)
+            realized = GATE_MATRICES[rec.gate.kind] @ sigma_n @ sigma_m
         u_sim = embed_unitary(realized, n, rec.gate.qubits) @ u_sim
     return u_sim
 

@@ -4,13 +4,18 @@ import io
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
 from mbqcsim.cli import main
-from mbqcsim.gadgets import GadgetOutcome, format_table1
+from mbqcsim.gadgets import GadgetOutcome
+from mbqcsim.pauli import PauliLetter, PauliOperator
 
 EXAMPLE = "qubits 2\nCNOT 0 1\nH 0\n"
+TABLE_TEXT = resources.files("mbqcsim").joinpath("data/table1.txt").read_text(
+    encoding="utf-8"
+)
 
 
 @pytest.fixture
@@ -191,7 +196,7 @@ def test_retry_limit_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     from mbqcsim import engines
 
     def never_clean(u, s, q, rng):
-        return GadgetOutcome(s, None, (0, 1), 1 / 16)
+        return GadgetOutcome(s, PauliOperator(0, (PauliLetter.X,)), (0, 1), 1 / 16)
 
     monkeypatch.setattr(engines, "one_qubit_gadget", never_clean)
     path = tmp_path / "h.mbqc"
@@ -209,6 +214,37 @@ def test_retry_limit_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
         "error: retry loop on qubit 0 found no clean outcome in 200 attempts;"
         " last word (0, 1)"
     ]
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [
+        (
+            MemoryError("Unable to allocate 16.0 TiB for an array"),
+            "Unable to allocate 16.0 TiB for an array",
+        ),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_register_too_wide_to_allocate_exits_2(
+    raised, message, tmp_path, monkeypatch, capsys
+):
+    from mbqcsim import cli
+
+    def no_memory(bits):
+        assert len(bits) == 40
+        raise raised
+
+    # stands in for the allocation of 2**40 amplitudes, never made here
+    monkeypatch.setattr(cli, "basis_state", no_memory)
+    path = tmp_path / "wide.mbqc"
+    path.write_text("qubits 40\nH 0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["simulate", "--circuit", str(path), "--seed", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["# seed 1", f"error: {message}"]
 
 
 def test_auto_seed_announced(circuit_file, monkeypatch, capsys):
@@ -244,7 +280,7 @@ def test_verify_table1_renders_realized_identity(capsys):
 def test_verify_table1_fails_on_corrupted_file(tmp_path, capsys):
     corrupted = tmp_path / "table.txt"
     corrupted.write_text(
-        format_table1().replace("X 2 + - -", "X 2 - - -"), encoding="utf-8"
+        TABLE_TEXT.replace("X 2 + - -", "X 2 - - -"), encoding="utf-8"
     )
     code, out, _ = run_cli(
         ["verify-table1", "--table", str(corrupted), "--states", "2",

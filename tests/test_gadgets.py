@@ -1,5 +1,7 @@
 """Teleportation gadgets and the adapted-T measurement table."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from mbqcsim.gadgets import (
     adapted_t_gadget,
     cnot_branches,
     cnot_gadget,
-    default_table1_path,
-    format_table1,
     load_table1,
     one_qubit_branches,
     one_qubit_gadget,
@@ -66,12 +66,9 @@ def commute_sign(a, b):
     return -1
 
 
-def embed(p, num_qubits, wires):
-    """Place a gadget byproduct's letters on the named register wires."""
-    letters = [L.I] * num_qubits
-    for w, l in zip(wires, p.letters):
-        letters[w] = l
-    return PauliOperator(p.phase_exp, tuple(letters))
+TABLE_TEXT = resources.files("mbqcsim").joinpath("data/table1.txt").read_text(
+    encoding="utf-8"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +124,12 @@ def test_theorem1_correction_map():
 # ---------------------------------------------------------------------------
 
 
-def test_format_parse_round_trip():
-    assert parse_table1(format_table1()) == TABLE1
-
-
-def test_packaged_file_matches_formatter_byte_for_byte():
-    text = default_table1_path().read_text(encoding="utf-8")
-    assert text == format_table1()
-
-
 def test_load_table1_default_and_explicit(tmp_path):
     assert load_table1() == TABLE1
     path = tmp_path / "table.txt"
-    path.write_text(format_table1(), encoding="utf-8")
+    path.write_text(TABLE_TEXT, encoding="utf-8")
     assert load_table1(path) == TABLE1
+    assert load_table1(str(path)) == TABLE1
 
 
 @pytest.mark.parametrize(
@@ -157,7 +146,7 @@ def test_load_table1_default_and_explicit(tmp_path):
 )
 def test_parse_table1_errors(mangle, message):
     with pytest.raises(ValueError, match=message):
-        parse_table1(mangle(format_table1()))
+        parse_table1(mangle(TABLE_TEXT))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ def test_one_qubit_gadget_on_entangled_register():
     s = random_state(3, gen)
     out = one_qubit_gadget(u, s, 1, RandomSource(5))
     assert out.post_state.num_qubits == 3
-    expect = apply_unitary(u, apply_pauli(embed(out.byproduct, 3, [1]), s), [1])
+    expect = apply_unitary(u, apply_pauli(out.byproduct.embedded(3, [1]), s), [1])
     assert equal_up_to_global_phase(expect, out.post_state)
 
 
@@ -303,10 +292,18 @@ def test_adapted_t_sampling_matches_enumeration():
 def test_adapted_t_accepts_custom_table():
     table = load_table1()
     phi = random_state(1, np.random.default_rng(87))
-    a = adapted_t_gadget(phi, 0, L.Z, RandomSource(2), table=table)
-    b = adapted_t_gadget(phi, 0, L.Z, RandomSource(2))
-    assert a.transcript == b.transcript
-    assert equal_up_to_global_phase(a.post_state, b.post_state)
+    a = adapted_t_branches(phi, 0, L.Z, table)
+    b = adapted_t_branches(phi, 0, L.Z)
+    assert [x.transcript for x in a] == [x.transcript for x in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.post_state.amplitudes, y.post_state.amplitudes)
+    # a corrupted custom table changes what the gadget measures
+    corrupted = parse_table1(TABLE_TEXT.replace("Z 0 + - +", "Z 0 - - +"))
+    bad = adapted_t_branches(phi, 0, L.Z, corrupted)
+    assert any(
+        not equal_up_to_global_phase(x.post_state, y.post_state)
+        for x, y in zip(bad, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,7 @@ def test_cnot_gadget_reversed_wires_on_entangled_register():
     out = cnot_gadget(s, 2, 0, RandomSource(21))
     assert out.post_state.num_qubits == 3
     after_gate = apply_unitary(CNOT_MATRIX, s, (2, 0))
-    expect = apply_pauli(embed(out.byproduct, 3, (2, 0)), after_gate)
+    expect = apply_pauli(out.byproduct.embedded(3, (2, 0)), after_gate)
     assert equal_up_to_global_phase(expect, out.post_state)
 
 
@@ -369,7 +366,7 @@ def test_verify_table1_passes_on_shipped_table():
 
 def test_verify_table1_catches_a_corrupted_row():
     # negative control: flip one sign and the verifier must localize it
-    corrupted = parse_table1(format_table1().replace("X 2 + - -", "X 2 - - -"))
+    corrupted = parse_table1(TABLE_TEXT.replace("X 2 + - -", "X 2 - - -"))
     report = verify_table1(table=corrupted, states_per_key=2, seed=3)
     assert not report.ok
     bad = report.failures()
@@ -377,6 +374,34 @@ def test_verify_table1_catches_a_corrupted_row():
     assert all(c.sigma_p is L.X and c.n == 2 for c in bad)
     assert "MISMATCH" in report.render(corrupted)
     assert "table verification: FAIL" in report.render(corrupted)
+
+
+def test_verify_table1_fails_a_branch_some_input_never_reaches(monkeypatch):
+    from mbqcsim import gadgets
+
+    real = gadgets.adapted_t_branches
+    dropped = (L.Y, 1, -1, 1)
+
+    def dropping(s, q, sigma_p, table=None):
+        return [
+            b
+            for b in real(s, q, sigma_p, table)
+            if (sigma_p, *b.transcript) != dropped
+        ]
+
+    monkeypatch.setattr(gadgets, "adapted_t_branches", dropping)
+    report = verify_table1(states_per_key=2, seed=23)
+    assert not report.ok
+    assert len(report.checks) == 64
+    [bad] = report.failures()
+    assert (bad.sigma_p, bad.n, bad.r1, bad.r2) == dropped
+    assert bad.realized is None and bad.max_deficit == 1.0
+    assert bad.mean_probability == 0.0
+    text = report.render()
+    block = text.split("sigma_p=Y n=1")[1].split("sigma_p=")[0]
+    assert "(r1=-1, r2=+1) -> ?  expected X  MISMATCH" in block
+    assert text.count("MISMATCH") == 1 and text.count("-> ?") == 1
+    assert "table verification: FAIL" in text
 
 
 def test_verify_table1_reports_branch_probabilities():

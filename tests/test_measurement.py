@@ -12,8 +12,6 @@ from mbqcsim.measurement import (
     computational_distribution,
     enumerate_branches,
     epr_state,
-    measure_basis,
-    measure_observable,
     measurement_branches,
     sample_plan,
     u_basis,
@@ -304,17 +302,17 @@ def test_measurement_branches_rejects_unknown_type():
 
 def test_measure_basis_is_deterministic_per_seed():
     s = random_state(2, np.random.default_rng(1))
-    a = measure_basis(s, bell_basis(), RandomSource(10))
-    b = measure_basis(s, bell_basis(), RandomSource(10))
+    a = sample_plan(s, [bell_basis()], RandomSource(10))
+    b = sample_plan(s, [bell_basis()], RandomSource(10))
     assert a[0] == b[0]
     assert np.array_equal(a[1].amplitudes, b[1].amplitudes)
 
 
 def test_measure_observable_returns_eigenpair():
-    ev, post = measure_observable(
-        basis_state("00"), SignedPauliObservable(1, (L.Z, L.Z)), RandomSource(3)
+    (ev,), post, prob = sample_plan(
+        basis_state("00"), [SignedPauliObservable(1, (L.Z, L.Z))], RandomSource(3)
     )
-    assert ev == 1
+    assert ev == 1 and prob == 1.0
     assert np.array_equal(post.amplitudes, basis_state("00").amplitudes)
 
 
@@ -340,7 +338,7 @@ def test_sampled_frequencies_match_probabilities():
     counts = {0: 0, 3: 0}
     trials = 4000
     for _ in range(trials):
-        label, _ = measure_basis(basis_state("00"), bell_basis(), rng)
+        (label,), _, _ = sample_plan(basis_state("00"), [bell_basis()], rng)
         counts[label] += 1
     # 3 sigma for a fair coin over 4000 draws
     assert abs(counts[0] - trials / 2) < 3 * np.sqrt(trials * 0.25)

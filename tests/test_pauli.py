@@ -1,5 +1,7 @@
 """Exact Pauli algebra against dense-matrix oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -50,11 +52,40 @@ def test_operator_constructors():
     assert q.with_letter(2, L.Z).letters == (L.I, L.Y, L.Z)
 
 
+def test_embedded_places_letters_on_wires():
+    p = PauliOperator(3, (L.X, L.Z))
+    wide = p.embedded(4, (3, 1))
+    assert wide == PauliOperator(3, (L.I, L.Z, L.I, L.X))
+    single = PauliOperator.single(4, 2, L.Y, 1)
+    assert single == PauliOperator(1, (L.Y,)).embedded(4, [2])
+    with pytest.raises(ValueError, match="out of range"):
+        p.embedded(2, (0, 2))
+    with pytest.raises(ValueError, match="duplicate"):
+        p.embedded(3, (1, 1))
+    with pytest.raises(ValueError):
+        p.embedded(3, (0,))
+
+
 def test_operator_matrix_kron_order():
     # qubit 0 is the left kron factor
     p = PauliOperator(1, (L.X, L.Z))
     expect = 1j * np.kron(letter_matrix(L.X), letter_matrix(L.Z))
     assert np.array_equal(p.matrix(), expect)
+
+
+def test_operator_matrix_is_bitwise_the_kron_product():
+    # engines build realized gates from byproduct matrices, so seeded
+    # output depends on every bit, signed zeros included
+    for k in range(4):
+        for r in range(4):
+            for letters in itertools.product(LETTERS, repeat=r):
+                m = np.ones((1, 1), dtype=complex)
+                for l in letters:
+                    m = np.kron(m, letter_matrix(l))
+                expect = PHASES[k] * m
+                got = PauliOperator(k, letters).matrix()
+                assert got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes(), (k, letters)
 
 
 def test_multiply_exact_all_single_letter_pairs():
