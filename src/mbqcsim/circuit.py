@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import apply_unitary, embed_unitary
+from .numerics import apply_unitary
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,10 +30,6 @@ CNOT_MATRIX = np.array(
 
 GATE_MATRICES = {"H": H_MATRIX, "T": T_MATRIX, "CNOT": CNOT_MATRIX}
 GATE_ARITY = {"H": 1, "T": 1, "CNOT": 2}
-
-#: widest register ``circuit_unitary`` builds a dense matrix for
-MAX_UNITARY_QUBITS = 6
-
 
 class CircuitParseError(ValueError):
     """Parse failure; the message always names the offending line."""
@@ -143,16 +139,3 @@ def oracle_apply(c, s):
     for g in c.gates:
         out = apply_unitary(GATE_MATRICES[g.kind], out, g.qubits)
     return out
-
-
-def circuit_unitary(c):
-    """Dense unitary of the whole circuit (right-to-left product)."""
-    if c.num_qubits > MAX_UNITARY_QUBITS:
-        raise ValueError(
-            f"register too large: {c.num_qubits} qubits "
-            f"(limit {MAX_UNITARY_QUBITS})"
-        )
-    u = np.eye(2**c.num_qubits, dtype=complex)
-    for g in c.gates:
-        u = embed_unitary(GATE_MATRICES[g.kind], c.num_qubits, g.qubits) @ u
-    return u

@@ -98,9 +98,15 @@ def _output(path):
 
 
 def _cmd_simulate(args):
+    opts = {}
+    if args.finalize is not None:
+        if args.engine != "frame":
+            raise ValueError(
+                f"--finalize applies to the frame engine only, not {args.engine!r}"
+            )
+        opts["finalize"] = args.finalize
     circuit = _read_circuit(args.circuit)
     src = RandomSource(_seed(args.seed))
-    opts = {"finalize": args.finalize} if args.engine == "frame" else {}
     worst = 1.0
     with _output(args.out) as out:
         for trial in range(args.trials):
@@ -190,8 +196,8 @@ def build_parser():
     sim.add_argument(
         "--finalize",
         choices=("apply", "report"),
-        default="apply",
-        help="frame engine only: apply the frame or report it raw",
+        default=None,
+        help="frame engine only: apply the frame or report it raw (default apply)",
     )
     sim.set_defaults(func=_cmd_simulate)
 

@@ -8,10 +8,11 @@ the engines differ only in what they do with it:
   loop (success when the byproduct is the identity, probability 1/4
   per attempt); a CNOT costs one gadget call plus one retry loop per
   non-identity byproduct letter.  Gadget count is random.
-* ``postponed``: accept every byproduct, accumulate the realized
-  unitary U_sim from the byproducts as a dense matrix, and apply the
-  single correction C = U_circuit U_sim^dagger at the end.  Exactly one gadget call per
-  gate; the closing correction is a dense unitary, not a gadget.
+* ``postponed``: accept every byproduct, keep each gate's realized
+  unitary (the gate with its byproduct), and close the run by undoing
+  them in reverse order and then applying the circuit, all as
+  state-vector operations.  Exactly one gadget call per gate; the
+  closing step is classical register work, not a gadget.
 * ``frame``: track the byproducts as a Pauli frame in classical
   software.  H and CNOT conjugate the frame; T consumes the frame
   letter on its wire through the adapted gadget and writes the
@@ -30,16 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CNOT_MATRIX, GATE_MATRICES, circuit_unitary, oracle_apply
+from .circuit import CNOT_MATRIX, GATE_MATRICES, oracle_apply
 from .gadgets import adapted_t_gadget, cnot_gadget, one_qubit_gadget
 from .measurement import RandomSource
-from .numerics import (
-    apply_unitary,
-    embed_unitary,
-    haar_unitary,
-    overlap,
-    random_state,
-)
+from .numerics import apply_unitary, haar_unitary, overlap, random_state
 from .pauli import (
     PauliLetter,
     PauliOperator,
@@ -93,7 +88,6 @@ class RunReport:
     final_state: object
     records: tuple
     final_frame: PauliOperator | None = None
-    correction_unitary: np.ndarray | None = None
 
     def to_json_dict(self):
         frame = None
@@ -212,35 +206,30 @@ def run_nielsen(circuit, input_state, rng):
 def run_postponed(circuit, input_state, rng):
     """Accept all byproducts; correct once at the end.
 
-    Each gate costs exactly one gadget call.  The realized unitary
-    U_sim accrues as a dense matrix, each factor built from the gate
-    and the gadget's byproduct, and the closing correction
-    C = U_circuit U_sim^dagger is applied directly to the register
-    (a dense unitary, so the register is capped at 6 qubits).  The
-    report carries C as ``correction_unitary``.
+    Each gate costs exactly one gadget call, whose realized unitary
+    (the gate with the gadget's byproduct) is kept with its wires.
+    The closing step applies their adjoints in reverse order, which
+    returns the register to the input state, and then the circuit
+    itself: one correction as O(2^n) state operations, so it runs on
+    any register the gadgets run on.
     """
-    n = circuit.num_qubits
-    target = circuit_unitary(circuit)
-    u_sim = np.eye(2**n, dtype=complex)
     state = input_state
+    realized = []
     records = []
     for gate in circuit.gates:
         if gate.kind == "CNOT":
             out = cnot_gadget(state, gate.qubits[0], gate.qubits[1], rng)
-            realized = out.byproduct.matrix() @ CNOT_MATRIX
+            realized.append((out.byproduct.matrix() @ CNOT_MATRIX, gate.qubits))
         else:
             u = GATE_MATRICES[gate.kind]
             out = one_qubit_gadget(u, state, gate.qubits[0], rng)
-            realized = u @ out.byproduct.matrix()
+            realized.append((u @ out.byproduct.matrix(), gate.qubits))
         state = out.post_state
-        u_sim = embed_unitary(realized, n, gate.qubits) @ u_sim
         records.append(GateRecord(gate, (out.transcript,)))
-    correction = target @ u_sim.conj().T
-    state = apply_unitary(correction, state, range(n))
-    oracle = oracle_apply(circuit, input_state)
-    return _report(
-        "postponed", oracle, rng, records, state, correction_unitary=correction
-    )
+    for u, wires in reversed(realized):
+        state = apply_unitary(u.conj().T, state, wires)
+    state = oracle_apply(circuit, state)
+    return _report("postponed", oracle_apply(circuit, input_state), rng, records, state)
 
 
 # ---------------------------------------------------------------------------

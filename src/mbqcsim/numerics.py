@@ -136,19 +136,6 @@ def permute_qubits(amps, perm, inverse=False):
     return np.transpose(amps.reshape(shape), axes)
 
 
-def _apply_on(u, amps, num_qubits, targets, columns=0):
-    """``u`` on ``targets`` of a register array with ``2**columns``
-    columns per amplitude (they ride along as wires that never move)."""
-    u = np.asarray(u, dtype=complex)
-    targets = _check_targets(num_qubits, targets)
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
-    order = targets + [q for q in range(num_qubits + columns) if q not in targets]
-    out = u @ permute_qubits(amps, order).reshape(2**k, -1)
-    return permute_qubits(out, order, inverse=True)
-
-
 def apply_unitary(u, s, targets):
     """Apply a ``2**k x 2**k`` matrix to the ordered ``targets`` of ``s``.
 
@@ -156,7 +143,14 @@ def apply_unitary(u, s, targets):
     index space.  Returns a new StateVector; dimension mismatches and
     bad targets raise ValueError.
     """
-    psi = _apply_on(u, s.amplitudes, s.num_qubits, targets)
+    u = np.asarray(u, dtype=complex)
+    targets = _check_targets(s.num_qubits, targets)
+    k = len(targets)
+    if u.shape != (2**k, 2**k):
+        raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
+    order = targets + [q for q in range(s.num_qubits) if q not in targets]
+    out = u @ permute_qubits(s.amplitudes, order).reshape(2**k, -1)
+    psi = permute_qubits(out, order, inverse=True)
     return StateVector(s.num_qubits, psi.reshape(-1))
 
 
@@ -195,14 +189,6 @@ def require_unitary(u):
     if dev > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
-
-
-def embed_unitary(u, num_qubits, targets):
-    """Expand a k-qubit matrix to the full ``2**num_qubits`` register."""
-    # columns of the embedded matrix are the images of basis states
-    dim = 2**num_qubits
-    m = _apply_on(u, np.eye(dim, dtype=complex), num_qubits, targets, num_qubits)
-    return m.reshape(dim, dim)
 
 
 def reorder_qubits(s, perm):

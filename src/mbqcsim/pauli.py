@@ -42,26 +42,19 @@ _LETTER_MATRICES = {
 #: i^k for k = 0..3, exact
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
-# single-letter products: (a, b) -> (letter, phase exponent delta)
-# XY = iZ, YZ = iX, ZX = iY and anticommuted partners with -i.
-_MUL = {
-    (_L.I, _L.I): (_L.I, 0),
-    (_L.I, _L.X): (_L.X, 0),
-    (_L.I, _L.Y): (_L.Y, 0),
-    (_L.I, _L.Z): (_L.Z, 0),
-    (_L.X, _L.I): (_L.X, 0),
-    (_L.Y, _L.I): (_L.Y, 0),
-    (_L.Z, _L.I): (_L.Z, 0),
-    (_L.X, _L.X): (_L.I, 0),
-    (_L.Y, _L.Y): (_L.I, 0),
-    (_L.Z, _L.Z): (_L.I, 0),
-    (_L.X, _L.Y): (_L.Z, 1),
-    (_L.Y, _L.X): (_L.Z, 3),
-    (_L.Y, _L.Z): (_L.X, 1),
-    (_L.Z, _L.Y): (_L.X, 3),
-    (_L.Z, _L.X): (_L.Y, 1),
-    (_L.X, _L.Z): (_L.Y, 3),
-}
+def _letter_product(a, b):
+    """Single-letter product a b as (letter, phase exponent delta).
+
+    Under I, X, Y, Z = 0..3 the letter is ``a ^ b``.  Two distinct
+    non-identity letters pick up +i in the cyclic order X -> Y -> Z -> X
+    (XY = iZ, YZ = iX, ZX = iY) and -i against it.
+    """
+    if a and b and a != b:
+        return _L(a ^ b), 1 if (b - a) % 3 == 1 else 3
+    return _L(a ^ b), 0
+
+
+_MUL = {(a, b): _letter_product(a, b) for a in _L for b in _L}
 
 
 def letter_matrix(letter):

@@ -13,12 +13,11 @@ from mbqcsim.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
-    circuit_unitary,
     oracle_apply,
     parse_circuit,
     render_circuit,
 )
-from mbqcsim.numerics import basis_state, embed_unitary, random_state
+from mbqcsim.numerics import basis_state, random_state
 
 
 def test_gate_matrices_frozen():
@@ -146,14 +145,36 @@ def test_circuit_validates_gate_range():
         Circuit(-1, ())
 
 
+def dense_unitary(c):
+    """The circuit's 2^n x 2^n matrix, each gate embedded with np.kron
+    between identities and a wire permutation: an oracle reference
+    built independently of ``apply_unitary``."""
+    n = c.num_qubits
+    u = np.eye(2**n, dtype=complex)
+    for g in c.gates:
+        rest = [q for q in range(n) if q not in g.qubits]
+        order = list(g.qubits) + rest
+        # perm takes a basis index in wire order to one in ``order``
+        perm = np.zeros((2**n, 2**n))
+        for i in range(2**n):
+            bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+            perm[sum(bits[q] << (n - 1 - k) for k, q in enumerate(order)), i] = 1
+        full = np.kron(GATE_MATRICES[g.kind], np.eye(2 ** len(rest)))
+        u = perm.T @ full @ perm @ u
+    return u
+
+
 def test_two_qubit_example_unitary():
     # CNOT then H on the control wire
     c = parse_circuit("qubits 2\nCNOT 0 1\nH 0\n")
     expect = np.kron(H_MATRIX, np.eye(2)) @ CNOT_MATRIX
-    assert np.allclose(circuit_unitary(c), expect, atol=1e-12)
+    assert np.allclose(dense_unitary(c), expect, atol=1e-12)
+    for i in range(4):
+        col = oracle_apply(c, basis_state(format(i, "02b"))).amplitudes
+        assert np.allclose(col, expect[:, i], atol=1e-12)
 
 
-def test_oracle_apply_matches_circuit_unitary():
+def test_oracle_apply_matches_dense_reference():
     gen = np.random.default_rng(63)
     kinds = ("H", "T", "CNOT")
     for _ in range(15):
@@ -168,7 +189,7 @@ def test_oracle_apply_matches_circuit_unitary():
         c = Circuit(n, tuple(gates))
         s = random_state(n, gen)
         direct = oracle_apply(c, s)
-        via_matrix = circuit_unitary(c) @ s.amplitudes
+        via_matrix = dense_unitary(c) @ s.amplitudes
         assert np.allclose(direct.amplitudes, via_matrix, atol=1e-9)
 
 
@@ -178,16 +199,8 @@ def test_oracle_apply_checks_register_width():
         oracle_apply(c, basis_state("0"))
 
 
-def test_circuit_unitary_register_cap():
-    c = Circuit(7, ())
-    with pytest.raises(ValueError, match="register too large"):
-        circuit_unitary(c)
-    assert circuit_unitary(Circuit(6, ())).shape == (64, 64)
-
-
 def test_empty_circuit_is_identity():
     c = parse_circuit("qubits 2\n")
-    assert np.array_equal(circuit_unitary(c), np.eye(4))
     s = random_state(2, np.random.default_rng(0))
     assert np.array_equal(oracle_apply(c, s).amplitudes, s.amplitudes)
 

@@ -90,6 +90,19 @@ def test_simulate_finalize_report_carries_frame(circuit_file, capsys):
     assert all(c in "IXYZ" for c in frame["letters"])
 
 
+@pytest.mark.parametrize("engine", ["nielsen", "postponed"])
+@pytest.mark.parametrize("mode", ["apply", "report"])
+def test_finalize_needs_the_frame_engine(engine, mode, circuit_file, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--circuit", circuit_file, "--engine", engine,
+         "--finalize", mode, "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --finalize applies to the frame engine only, not {engine!r}\n"
+
+
 def test_simulate_explicit_input_bits(circuit_file, capsys):
     code, _, _ = run_cli(
         ["simulate", "--circuit", circuit_file, "--input", "10", "--seed", "2"],
@@ -365,6 +378,42 @@ def test_compare_csv(circuit_file, capsys):
         if engine != "nielsen":
             assert calls == "2" and fixes == "0"
         assert float(fid) >= 1.0 - 1e-9
+
+
+@pytest.fixture
+def seven_qubit_file(tmp_path):
+    lines = ["qubits 7"]
+    lines += [f"H {q}" for q in range(7)]
+    lines += [f"CNOT {q} {q + 1}" for q in range(6)]
+    lines += ["T 0", "T 6", "CNOT 6 0", "H 3"]
+    path = tmp_path / "seven.mbqc"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_compare_runs_a_seven_qubit_register(seven_qubit_file, capsys):
+    code, out, err = run_cli(
+        ["compare", "--circuit", seven_qubit_file, "--trials", "1", "--seed", "8"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["nielsen", "postponed", "frame"]
+    assert all(float(r[5]) >= 1.0 - 1e-9 for r in rows)
+
+
+def test_simulate_postponed_runs_a_seven_qubit_register(seven_qubit_file, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--circuit", seven_qubit_file, "--engine", "postponed",
+         "--input", "random", "--seed", "9"],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out.strip())
+    assert payload["num_qubits"] == 7
+    assert payload["total_gadget_calls"] == 17
+    assert payload["corrective_gadget_calls"] == 0
+    assert payload["fidelity_vs_oracle"] >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from mbqcsim.numerics import (
     StateVector,
     apply_unitary,
     basis_state,
-    embed_unitary,
     equal_up_to_global_phase,
     factor_out,
     haar_unitary,
@@ -95,22 +94,25 @@ def test_apply_unitary_validates_targets():
         apply_unitary(np.eye(4), basis_state("00"), (0,))
 
 
-def test_embed_unitary_matches_apply():
+def test_apply_unitary_matches_dense_reference():
+    # reference: move the targets to the front with np.transpose, act
+    # with u (x) I through np.kron, and move them back
     gen = np.random.default_rng(11)
     for _ in range(20):
         u = haar_unitary(4, gen)
-        targets = tuple(gen.permutation(3)[:2])
+        targets = tuple(int(q) for q in gen.permutation(3)[:2])
         s = random_state(3, gen)
-        via_embed = StateVector(
-            3, embed_unitary(u, 3, targets) @ s.amplitudes, normalize=True
-        )
+        order = list(targets) + [q for q in range(3) if q not in targets]
+        front = np.transpose(s.amplitudes.reshape(2, 2, 2), order).reshape(-1)
+        acted = (np.kron(u, np.eye(2)) @ front).reshape(2, 2, 2)
+        expect = np.transpose(acted, np.argsort(order)).reshape(-1)
         via_apply = apply_unitary(u, s, targets)
-        assert np.allclose(via_embed.amplitudes, via_apply.amplitudes, atol=1e-12)
+        assert np.allclose(expect, via_apply.amplitudes, atol=1e-12)
 
 
-def test_embed_unitary_shape_check():
+def test_apply_unitary_shape_check():
     with pytest.raises(ValueError, match="does not act on"):
-        embed_unitary(np.eye(3), 2, (0,))
+        apply_unitary(np.eye(3), basis_state("00"), (0,))
 
 
 def test_overlap_is_abs_inner_product():
