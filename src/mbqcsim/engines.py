@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CNOT_MATRIX, GATE_MATRICES, oracle_apply
-from .gadgets import adapted_t_gadget, cnot_gadget, one_qubit_gadget
+from .gadgets import adapted_t_gadget, cnot_gadget, narrow, one_qubit_gadget
 from .measurement import RandomSource
 from .numerics import apply_unitary, haar_unitary, overlap, random_state
 from .pauli import (
@@ -151,17 +151,18 @@ def one_qubit_loop(u, state, q, rng):
     (V B V*) V on the wire; an identity B means the error is trivial.
     Otherwise the next attempt aims at the inverse error V B* V*.
     Returns (state, words); attempt count is geometric with success
-    probability 1/4.  Raises RetryLimitExceeded after
-    ``MAX_LOOP_ATTEMPTS`` attempts.
+    probability 1/4; every attempt runs on one purification of q
+    (``narrow``).  Raises RetryLimitExceeded after MAX_LOOP_ATTEMPTS.
     """
     pending = np.asarray(u, dtype=complex)
     words = []
+    state, (at,), lift = narrow(state, (q,))
     for _ in range(MAX_LOOP_ATTEMPTS):
-        out = one_qubit_gadget(pending, state, q, rng)
+        out = one_qubit_gadget(pending, state, at, rng)
         words.append(out.transcript)
         state = out.post_state
         if out.byproduct.is_identity_word():
-            return state, tuple(words)
+            return lift(state), tuple(words)
         pending = pending @ out.byproduct.matrix().conj().T @ pending.conj().T
         # repeated conjugation drifts off the unitary manifold in
         # floats; snap back so the gadget's validator never trips

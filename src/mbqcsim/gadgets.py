@@ -29,18 +29,21 @@ Each gadget is one spec: the input extended by its (cached) resource
 wires, the measurement plan, the decoding of an outcome word into the
 byproduct, and the compaction back to the data wires.  The decoding
 is the one word-to-byproduct rule: engines read ``byproduct``, never
-the word.  Two drivers run every spec: ``*_gadget`` samples one path
-(one draw and one built post-state per measurement), ``*_branches``
-enumerates all 16 words.
-Both go through ``measurement_branches``, so a sampled branch is
-bit for bit the enumerated branch with the same word.
+the word.  Two drivers run every spec.  ``*_branches`` enumerates all
+16 words on the register itself, the reference.  ``*_gadget`` samples
+one path (one draw and one built post-state per measurement) on the
+smallest purification of its k data wires, at most 2k qubits
+(``narrow``).  Its statistics and branch map depend only on the data
+wires' reduced state (gate teleportation, Gottesman & Chuang,
+quant-ph/9908010): a sampled branch is the enumerated branch of the
+same word up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -59,10 +62,12 @@ from .measurement import (
 )
 from .numerics import (
     StateVector,
+    _check_targets,
     apply_unitary,
     basis_state,
     factor_out,
     overlap,
+    purify,
     random_state,
     reorder_qubits,
     tensor,
@@ -207,18 +212,36 @@ class _Spec(NamedTuple):
     compact: Callable
 
 
-def _sample(spec, rng):
-    word, state, prob = sample_plan(spec.register, spec.plan, rng)
-    return GadgetOutcome(spec.compact(state), spec.decode(word), word, prob)
+def _check_wires(s, wires):
+    if len(set(wires)) < len(wires):
+        raise ValueError("control equals target")
+    _check_targets(s.num_qubits, wires)
 
 
-def _enumerate(spec):
+def narrow(s, wires):
+    """(state, wires, lift) a sampled gadget on ``wires`` runs on: a
+    register of 2k qubits or fewer is its own smallest purification,
+    a wider one runs on ``purify``'s.  Bad wires raise ValueError first."""
+    _check_wires(s, wires)
+    if s.num_qubits <= 2 * len(wires):
+        return s, wires, lambda p: p
+    state, lift = purify(s, wires)
+    return state, tuple(range(len(wires), state.num_qubits)), lift
+
+
+def _sample(spec_of, s, wires, rng):
+    state, at, lift = narrow(s, wires)
+    spec = spec_of(state, *at)
+    word, post, prob = sample_plan(spec.register, spec.plan, rng)
+    return GadgetOutcome(lift(spec.compact(post)), spec.decode(word), word, prob)
+
+
+def _enumerate(spec_of, s, wires):
+    _check_wires(s, wires)
+    spec = spec_of(s, *wires)
     return [
         GadgetOutcome(
-            spec.compact(b.post_state),
-            spec.decode(b.outcomes),
-            b.outcomes,
-            b.probability,
+            spec.compact(b.post_state), spec.decode(b.outcomes), b.outcomes, b.probability
         )
         for b in enumerate_branches(spec.register, spec.plan)
     ]
@@ -240,6 +263,8 @@ def _compact(state, dead, outputs, num_qubits):
     """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
     reduced = factor_out(state, dead)
     kept = [i for i in range(num_qubits) if i not in outputs] + list(outputs)
+    if kept == sorted(kept):
+        return reduced
     return reorder_qubits(reduced, [kept.index(f) for f in range(num_qubits)])
 
 
@@ -270,17 +295,17 @@ def one_qubit_gadget(u, s, q, rng):
 
     Post-state is (u sigma_n sigma_m at q)|input> up to global phase,
     where (n, m) is the transcript; each of the 16 words has
-    probability exactly 1/16.  Register size is unchanged.
+    probability exactly 1/16.  Runs on a purification of q (``narrow``).
     """
-    return _sample(_one_qubit_spec(u, s, q), rng)
+    return _sample(partial(_one_qubit_spec, u), s, (q,), rng)
 
 
 def one_qubit_branches(u, s, q):
     """All 16 branches of the one-qubit gadget, exactly enumerated."""
-    return _enumerate(_one_qubit_spec(u, s, q))
+    return _enumerate(partial(_one_qubit_spec, u), s, (q,))
 
 
-def _t_spec(s, q, sigma_p, table=None):
+def _t_spec(sigma_p, table, s, q):
     """Adaptive plan for the adapted T gadget.
 
     M1/M2 are looked up from the table by (sigma_p, outcome n); their
@@ -315,17 +340,15 @@ def adapted_t_gadget(s, q, sigma_p, rng):
     byproduct.  Transcript is (n, r1, r2).  The packaged table drives
     it; ``adapted_t_branches`` takes any table.
     """
-    return _sample(_t_spec(s, q, sigma_p), rng)
+    return _sample(partial(_t_spec, sigma_p, None), s, (q,), rng)
 
 
 def adapted_t_branches(s, q, sigma_p, table=None):
     """All 16 branches (n, r1, r2) of the adapted T gadget."""
-    return _enumerate(_t_spec(s, q, sigma_p, table))
+    return _enumerate(partial(_t_spec, sigma_p, table), s, (q,))
 
 
 def _cnot_spec(s, control, target):
-    if control == target:
-        raise ValueError("control equals target")
     n = s.num_qubits
 
     def decode(word):
@@ -352,12 +375,12 @@ def cnot_gadget(s, control, target, rng):
     phase with P = CNOT (sigma_n (x) sigma_m) CNOT, n and m being the
     two Bell outcomes; each of the 16 words has probability 1/16.
     """
-    return _sample(_cnot_spec(s, control, target), rng)
+    return _sample(_cnot_spec, s, (control, target), rng)
 
 
 def cnot_branches(s, control, target):
     """All 16 branches of the CNOT gadget, exactly enumerated."""
-    return _enumerate(_cnot_spec(s, control, target))
+    return _enumerate(_cnot_spec, s, (control, target))
 
 
 # ---------------------------------------------------------------------------

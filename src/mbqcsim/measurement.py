@@ -13,8 +13,9 @@ computes every branch's exact Born probability up front, and builds a
 branch's post-state only when it is read.  ``sample_plan`` draws one
 branch per measurement (one ``RandomSource.choose`` each) and so builds
 one post-state; ``enumerate_branches`` expands a plan into every
-outcome word with its post-state.  Enumeration is the brute-force
-oracle the test suite checks gadgets and engines against.
+outcome word with its post-state.  Enumeration, on the whole register,
+is the brute-force oracle the test suite checks gadgets (which sample
+on purifications of their data wires) and engines against.
 
 Bases from :func:`u_basis` and :func:`bell_basis` are built and
 Gram-checked once per distinct matrix, then retargeted for free.
@@ -31,7 +32,6 @@ the second sign its Z component.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -119,7 +119,8 @@ class BasisMeasurement:
 
     def retargeted(self, targets):
         """The same basis on other wires; the vectors were checked once."""
-        moved = copy.copy(self)
+        moved = object.__new__(type(self))
+        object.__setattr__(moved, "vectors", self.vectors)
         object.__setattr__(moved, "targets", tuple(targets))
         return moved
 
@@ -219,16 +220,6 @@ def measurement_branches(s, m):
     raise TypeError(f"not a measurement: {m!r}")
 
 
-def _sample(s, m, rng):
-    """One ``rng.choose`` draw over the branches of one measurement.
-
-    The branches not drawn, and the amplitudes they hold, are freed on
-    return, before the next measurement allocates its own.
-    """
-    branches = measurement_branches(s, m)
-    return branches[rng.choose([b.probability for b in branches])]
-
-
 def enumerate_branches(s, plan):
     """Expand a measurement plan into all outcome words.
 
@@ -264,7 +255,8 @@ def sample_plan(s, plan, rng):
     for item in plan:
         if callable(item):
             item = item(word)
-        b = _sample(state, item, rng)
+        branches = measurement_branches(state, item)
+        b = branches[rng.choose([b.probability for b in branches])]
         word += b.outcomes
         prob *= b.probability
         state = b.post_state

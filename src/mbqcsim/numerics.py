@@ -226,6 +226,50 @@ def factor_out(s, dead):
     return StateVector(len(keep), live, normalize=True)
 
 
+def _cholesky(gram):
+    """Lower L with L L^dagger = ``gram`` (nested lists) and the rows of
+    its inverse, in Python scalars.  A pivot with square <= 1e-30, far
+    below rounding, vanishes: its column of L and row of L^-1 are zero."""
+    d = len(gram)
+    low = [[0j] * d for _ in range(d)]
+    inv = [[0j] * d for _ in range(d)]
+    for i, (gi, li, vi) in enumerate(zip(gram, low, inv)):
+        for j, lj in enumerate(low[: i + 1]):
+            acc = gi[j]
+            for t in range(j):
+                acc -= li[t] * lj[t].conjugate()
+            if j < i:
+                li[j] = acc / lj[j] if lj[j] else 0j
+            elif acc.real > 1e-30:
+                li[i] = math.sqrt(acc.real)
+        for j in range(i + 1 if li[i] else 0):
+            vi[j] = ((i == j) - sum(li[t] * inv[t][j] for t in range(j, i))) / li[i]
+    return np.array(low), np.array(inv)
+
+
+def purify(s, wires):
+    """The smallest purification of ``wires``: (state, lift).  With the
+    k wires moved last, their 2^k x 2^(n-k) amplitude block is M = L R,
+    L L^dagger = M M^dagger, R's rows orthonormal or zero where a pivot
+    vanishes (L = M if 2^(n-k) <= 2^k).  ``state`` is L on log2(min(2^k,
+    2^(n-k))) reference wires, then the wires; ``lift`` maps a post-state
+    P of it back as P R.  What acts on the wires alone sees only M M^dagger."""
+    n, k = s.num_qubits, len(wires)
+    order = [*(i for i in range(n) if i not in wires), *wires]
+    m = permute_qubits(s.amplitudes, order).reshape(-1, 2**k)  # M^T
+    if len(m) <= 2**k:
+        low_t, right_t = m, np.eye(len(m))
+    else:
+        low, inv = _cholesky((m.T @ m.conj()).tolist())
+        low_t, right_t = low.T, m @ inv.T
+
+    def lift(p):
+        out = right_t @ p.amplitudes.reshape(low_t.shape)
+        return StateVector(n, permute_qubits(out, order, inverse=True).reshape(-1))
+
+    return StateVector((low_t.size - 1).bit_length(), low_t.reshape(-1)), lift
+
+
 def random_state(num_qubits, gen):
     """Haar-like random pure state: normalized i.i.d. Gaussian components."""
     dim = 2**num_qubits

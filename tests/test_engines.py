@@ -161,9 +161,13 @@ def _gates(n):
     return st.lists(st.one_of(one, two) if n > 1 else one, max_size=10)
 
 
-circuits = st.integers(1, 7).flatmap(
-    lambda n: _gates(n).map(lambda gs: Circuit(n, tuple(Gate(k, w) for k, w in gs)))
-)
+def _circuits(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: _gates(n).map(lambda gs: Circuit(n, tuple(Gate(k, w) for k, w in gs)))
+    )
+
+
+circuits = _circuits(7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,6 +231,17 @@ def test_frame_costs_have_zero_variance():
         calls.add(report.total_gadget_calls)
         assert report.fidelity_vs_oracle >= 1.0 - 1e-9
     assert calls == {len(c.gates)}
+
+
+def test_frame_engine_runs_an_eighteen_qubit_register():
+    # every gadget runs on a purification of at most four qubits, so a
+    # 4 MB register never grows to the 64 MB of an extended one
+    gen = np.random.default_rng(18)
+    c = random_circuit(gen, 18, 50)
+    s = random_state(18, gen)
+    report = run_frame(c, s, RandomSource(18))
+    assert report.total_gadget_calls == 50
+    assert report.fidelity_vs_oracle >= 1.0 - 1e-9
 
 
 def test_frame_report_mode_returns_frame():
@@ -336,6 +351,20 @@ def test_reinterpretation_equals_applying_the_frame():
             frame, computational_distribution(s)
         )
         assert np.array_equal(corrected, relabeled)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_circuits(6), st.integers(0, 2**32 - 1))
+def test_reinterpreting_a_frame_run_equals_applying_its_frame(c, seed):
+    # the raw output of a report-mode frame run, measured and relabeled
+    # through its frame, is bit for bit the corrected output measured
+    s = random_state(c.num_qubits, np.random.default_rng(seed))
+    report = run_frame(c, s, RandomSource(seed), finalize="report")
+    raw, frame = report.final_state, report.final_frame
+    assert np.array_equal(
+        reinterpret_distribution(frame, computational_distribution(raw)),
+        computational_distribution(apply_pauli(frame, raw)),
+    )
 
 
 def test_reinterpreted_outcome_indexing_is_consistent():

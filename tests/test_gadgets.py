@@ -1,5 +1,7 @@
 """Teleportation gadgets and the adapted-T measurement table."""
 
+import itertools
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -24,9 +26,12 @@ from mbqcsim.measurement import RandomSource
 from mbqcsim.numerics import (
     StateVector,
     apply_unitary,
+    basis_state,
     equal_up_to_global_phase,
     haar_unitary,
+    overlap,
     random_state,
+    tensor,
 )
 from mbqcsim.pauli import (
     PauliLetter,
@@ -429,16 +434,76 @@ def _gadget_pairs(num_qubits=3):
     ]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_sampled_branch_is_bitwise_the_enumerated_one(seed):
-    for name, sample, enumerate_all in _gadget_pairs():
-        out = sample(RandomSource(seed))
-        same = [b for b in enumerate_all() if b.transcript == out.transcript]
-        assert len(same) == 1, name
-        b = same[0]
-        assert out.branch_probability == b.branch_probability, name
-        assert out.byproduct == b.byproduct, name
-        assert np.array_equal(out.post_state.amplitudes, b.post_state.amplitudes), name
+class Scripted:
+    """Stands in for RandomSource: each draw takes the next given index."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def choose(self, probabilities):
+        return next(self.picks)
+
+
+def _every_word_against_dense(s, q, cnot_wires, gen):
+    """Sample every word of every gadget on ``s`` (one-wire gadgets on
+    q, CNOT on ``cnot_wires`` unless None) and check each against the
+    dense branch with the same word, enumerated on the register itself.
+    """
+    u = haar_unitary(2, gen)
+    cases = [(lambda rng: one_qubit_gadget(u, s, q, rng),
+              one_qubit_branches(u, s, q), (4, 4))]
+    for p in LETTERS:
+        cases.append((lambda rng, p=p: adapted_t_gadget(s, q, p, rng),
+                      adapted_t_branches(s, q, p), (4, 2, 2)))
+    if cnot_wires is not None:
+        cases.append((lambda rng: cnot_gadget(s, *cnot_wires, rng),
+                      cnot_branches(s, *cnot_wires), (4, 4)))
+    for sample, dense, sizes in cases:
+        by_word = {b.transcript: b for b in dense}
+        sampled = set()
+        for picks in itertools.product(*map(range, sizes)):
+            out = sample(Scripted(picks))
+            b = by_word[out.transcript]
+            assert out.byproduct == b.byproduct
+            assert overlap(out.post_state, b.post_state) ** 2 >= 1 - 1e-12
+            assert abs(out.branch_probability - b.branch_probability) <= 1e-12
+            sampled.add(out.transcript)
+        assert sampled == set(by_word)
+
+
+def _random_wires(gen, n):
+    q = int(gen.integers(n))
+    return q, (tuple(int(w) for w in gen.permutation(n)[:2]) if n > 1 else None)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sampled_branch_matches_the_dense_branch(n):
+    gen = np.random.default_rng(40 + n)
+    _every_word_against_dense(random_state(n, gen), *_random_wires(gen, n), gen)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
+    gen = np.random.default_rng(50 + n)
+    # basis states: pivots of the data wires' Gram matrix vanish outright
+    for bits in ("0" * n, ("10" * n)[:n], "1" * n):
+        _every_word_against_dense(basis_state(bits), *_random_wires(gen, n), gen)
+    # a pure data wire q inside a product state: a rank-1 Gram matrix,
+    # and rank 2 for a CNOT whose other wire is entangled with the rest
+    for q in range(n):
+        s = tensor(tensor(random_state(q, gen), random_state(1, gen)),
+                   random_state(n - 1 - q, gen))
+        other = (q + 1) % n
+        _every_word_against_dense(s, q, (q, other) if n > 1 else None, gen)
+        # nearly so: a pivot of about 1e-4 must be kept, not dropped
+        near = s.amplitudes + 1e-4 * random_state(n, gen).amplitudes
+        s = StateVector(n, near, normalize=True)
+        _every_word_against_dense(s, q, (q, other) if n > 1 else None, gen)
+    # both CNOT wires pure
+    if n > 1:
+        s = tensor(tensor(random_state(1, gen), random_state(1, gen)),
+                   random_state(n - 2, gen))
+        _every_word_against_dense(s, 0, (1, 0), gen)
 
 
 @pytest.mark.parametrize("name, measurements", [
@@ -464,3 +529,54 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
     built.clear()
     {n: f for n, _, f in _gadget_pairs()}[name]()
     assert len(built) == {"one_qubit": 20, "adapted_t": 28, "cnot": 20}[name]
+
+
+# ---------------------------------------------------------------------------
+# wire checks and memory of the purified path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s, rng: one_qubit_gadget(T_MATRIX, s, 5, rng),
+     "target qubit 5 out of range for 5-qubit register"),
+    (lambda s, rng: one_qubit_gadget(T_MATRIX, s, -1, rng),
+     "target qubit -1 out of range for 5-qubit register"),
+    (lambda s, rng: adapted_t_gadget(s, 7, L.X, rng),
+     "target qubit 7 out of range for 5-qubit register"),
+    (lambda s, rng: cnot_gadget(s, 2, 2, rng), "control equals target"),
+    (lambda s, rng: cnot_gadget(s, 9, 9, rng), "control equals target"),
+    (lambda s, rng: cnot_gadget(s, 0, 5, rng),
+     "target qubit 5 out of range for 5-qubit register"),
+], ids=["one_qubit", "one_qubit_negative", "adapted_t", "cnot_equal",
+        "cnot_equal_out_of_range", "cnot"])
+def test_sampled_gadget_rejects_bad_wires_before_array_work(call, message, monkeypatch):
+    from mbqcsim import gadgets, numerics
+
+    def no_array_work(*args, **kwargs):
+        raise AssertionError("array work before the wire check")
+
+    for module, name in ((gadgets, "purify"), (gadgets, "tensor"),
+                         (numerics, "permute_qubits")):
+        monkeypatch.setattr(module, name, no_array_work)
+    s = random_state(5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(s, RandomSource(0))
+
+
+def test_sampled_gadget_peak_memory_is_a_few_registers():
+    s = random_state(16, np.random.default_rng(16))
+    u = haar_unitary(2, np.random.default_rng(17))
+    calls = {
+        "one_qubit": lambda rng: one_qubit_gadget(u, s, 9, rng),
+        "adapted_t": lambda rng: adapted_t_gadget(s, 4, L.Y, rng),
+        "cnot": lambda rng: cnot_gadget(s, 11, 3, rng),
+    }
+    for name, call in calls.items():
+        call(RandomSource(0))  # fills the basis and transpose-plan caches
+        tracemalloc.start()
+        try:
+            call(RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * s.amplitudes.nbytes, (name, peak / s.amplitudes.nbytes)

@@ -15,6 +15,7 @@ from mbqcsim.numerics import (
     inner_product,
     overlap,
     permute_qubits,
+    purify,
     random_state,
     reorder_qubits,
     require_unitary,
@@ -174,6 +175,31 @@ def test_factor_out_product_state():
     # kept wires stay in original relative order
     expect = tensor(parts[0], parts[2])
     assert np.isclose(overlap(reduced, expect), 1.0)
+
+
+def _reduced(s, wires):
+    """Density matrix of ``wires`` of ``s``, wires in the given order."""
+    rest = [q for q in range(s.num_qubits) if q not in wires]
+    m = np.transpose(s.amplitudes.reshape((2,) * s.num_qubits), [*wires, *rest])
+    m = m.reshape(2 ** len(wires), -1)
+    return m @ m.conj().T
+
+
+@pytest.mark.parametrize("n, wires", [
+    (1, (0,)), (2, (1,)), (3, (2,)), (5, (0,)), (2, (1, 0)), (3, (2, 0)),
+    (4, (1, 3)), (6, (4, 1)),
+])
+def test_purify_keeps_the_wires_reduced_state_and_lifts_back(n, wires):
+    k = len(wires)
+    # a random state, and a basis state whose Gram matrix has vanishing pivots
+    for s in (random_state(n, np.random.default_rng(n)), basis_state(("01" * n)[:n])):
+        small, lift = purify(s, wires)
+        # the smallest purification: k + log2(min(2^k, 2^(n - k))) qubits
+        assert small.num_qubits == k + min(k, n - k)
+        data = tuple(range(small.num_qubits - k, small.num_qubits))
+        assert np.allclose(_reduced(small, data), _reduced(s, wires), atol=1e-12)
+        # the untouched purification lifts back to the register itself
+        assert np.allclose(lift(small).amplitudes, s.amplitudes, atol=1e-12)
 
 
 def test_factor_out_rejects_entanglement():
