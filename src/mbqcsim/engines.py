@@ -372,21 +372,12 @@ def sample_attempt_counts(trials, rng):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostRow:
-    engine: str
-    circuit_len: int
-    trial: int
-    gadget_calls: int
-    corrective_calls: int
-    fidelity: float
-
-
 def compare_costs(circuit, trials, seed):
     """Run every engine ``trials`` times on shared random inputs.
 
     Trial t of every engine starts from the same random input state;
-    engines draw from disjoint substreams.  Returns a list of CostRow.
+    engines draw from disjoint substreams.  Returns a list of
+    (engine name, trial, RunReport).
     """
     src = RandomSource(seed)
     rows = []
@@ -394,15 +385,5 @@ def compare_costs(circuit, trials, seed):
         sub = src.substream(trial)
         state = random_state(circuit.num_qubits, sub.substream(0).gen)
         for k, (name, run) in enumerate(ENGINES.items()):
-            report = run(circuit, state, sub.substream(1 + k))
-            rows.append(
-                CostRow(
-                    engine=name,
-                    circuit_len=len(circuit),
-                    trial=trial,
-                    gadget_calls=report.total_gadget_calls,
-                    corrective_calls=report.corrective_gadget_calls,
-                    fidelity=report.fidelity_vs_oracle,
-                )
-            )
+            rows.append((name, trial, run(circuit, state, sub.substream(1 + k))))
     return rows

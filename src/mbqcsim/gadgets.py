@@ -52,9 +52,9 @@ import numpy as np
 
 from .circuit import CNOT_MATRIX, T_MATRIX
 from .measurement import (
+    BELL_BASIS,
     BELL_LABEL_FROM_SIGNS,
     RandomSource,
-    bell_basis,
     enumerate_branches,
     epr_state,
     sample_plan,
@@ -92,8 +92,8 @@ _L = PauliLetter
 class Table1Entry:
     """Measurements for one (sigma_p, n) key.
 
-    Observable targets are placeholders (0, 1); the gadget retargets
-    them onto (data wire, first ancilla) at run time.
+    The observables name no wires; the gadget's plan measures each on
+    (data wire, first ancilla).
     """
 
     sigma_p: PauliLetter
@@ -135,32 +135,39 @@ def theorem1_correction(r1, r2):
 # the table file (``data/table1.txt``, header included, is its one copy)
 # ---------------------------------------------------------------------------
 
+def _parse_row(fields):
+    """The (key, entry) of one row's fields; raises ValueError."""
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    letter = PauliLetter.from_char(fields[0])
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise ValueError(f"bad label {fields[1]!r}") from None
+    if n not in (0, 1, 2, 3):
+        raise ValueError(f"label out of range ({n})")
+    signs = []
+    for f in fields[2:]:
+        if f not in ("+", "-"):
+            raise ValueError(f"bad sign {f!r}")
+        signs.append(+1 if f == "+" else -1)
+    return (letter, n), _entry(letter, n, tuple(signs))
+
+
 def parse_table1(text):
-    """Parse table text; raises ValueError naming the offending line."""
+    """Parse table text; a row error ends with ``at line N``."""
     table = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise ValueError(f"expected 5 fields at line {lineno}: {raw!r}")
-        letter = PauliLetter.from_char(fields[0])
         try:
-            n = int(fields[1])
-        except ValueError:
-            raise ValueError(f"bad label at line {lineno}: {raw!r}") from None
-        if n not in (0, 1, 2, 3):
-            raise ValueError(f"label out of range at line {lineno}: {raw!r}")
-        signs = []
-        for f in fields[2:]:
-            if f not in ("+", "-"):
-                raise ValueError(f"bad sign {f!r} at line {lineno}")
-            signs.append(+1 if f == "+" else -1)
-        key = (letter, n)
-        if key in table:
-            raise ValueError(f"duplicate row for {letter.name} {n} at line {lineno}")
-        table[key] = _entry(letter, n, tuple(signs))
+            key, entry = _parse_row(line.split())
+            if key in table:
+                raise ValueError(f"duplicate row for {key[0].name} {key[1]}")
+        except ValueError as exc:
+            raise ValueError(f"{exc} at line {lineno}") from None
+        table[key] = entry
     if len(table) != 16:
         raise ValueError(f"table has {len(table)} rows, expected 16")
     return table
@@ -286,7 +293,7 @@ def _one_qubit_spec(u, s, q):
 
     # u_basis rejects a u that is not unitary, once per distinct matrix
     return _one_wire_spec(
-        s, q, lambda a1, a2: [u_basis(u, (a1, a2)), bell_basis((q, a1))], decode
+        s, q, lambda a1, a2: [((a1, a2), u_basis(u)), ((q, a1), BELL_BASIS)], decode
     )
 
 
@@ -313,16 +320,15 @@ def _t_spec(sigma_p, table, s, q):
     """
     sigma_p = PauliLetter(sigma_p)
 
+    def m1(word):
+        return table1_lookup(sigma_p, word[0], table).m1
+
+    def m2(word):
+        entry = table1_lookup(sigma_p, word[0], table)
+        return entry.m2_pos if word[1] > 0 else entry.m2_neg
+
     def plan(a1, a2):
-        def m1(word):
-            return table1_lookup(sigma_p, word[0], table).m1.retargeted((q, a1))
-
-        def m2(word):
-            entry = table1_lookup(sigma_p, word[0], table)
-            obs = entry.m2_pos if word[1] > 0 else entry.m2_neg
-            return obs.retargeted((q, a1))
-
-        return [u_basis(T_MATRIX, (a1, a2)), m1, m2]
+        return [((a1, a2), u_basis(T_MATRIX)), ((q, a1), m1), ((q, a1), m2)]
 
     def decode(word):
         n_lbl, r1, r2 = word
@@ -360,7 +366,7 @@ def _cnot_spec(s, control, target):
     # r1 = n and r4 = n + 3 are measured; r2 and r3 carry the outputs
     return _Spec(
         tensor(s, _cnot_wires()),
-        [bell_basis((control, n)), bell_basis((target, n + 3))],
+        [((control, n), BELL_BASIS), ((target, n + 3), BELL_BASIS)],
         decode,
         lambda state: _compact(
             state, [control, target, n, n + 3], (control, target), n
@@ -408,9 +414,6 @@ class Table1Report:
     checks: tuple
     states_per_key: int
     ok: bool
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
 
     def render(self, table=None):
         table = TABLE1 if table is None else table

@@ -17,8 +17,11 @@ outcome word with its post-state.  Enumeration, on the whole register,
 is the brute-force oracle the test suite checks gadgets (which sample
 on purifications of their data wires) and engines against.
 
-Bases from :func:`u_basis` and :func:`bell_basis` are built and
-Gram-checked once per distinct matrix, then retargeted for free.
+A plan is a sequence of ``(wires, measurement)`` steps, where the
+measurement may be a callable of the outcome word so far; a
+measurement names no wires, so one object serves every pair.  Bases
+from :func:`u_basis` are built and Gram-checked once per distinct
+matrix; ``BELL_BASIS`` is the one of the identity.
 
 Outcome bookkeeping for the Bell basis: measuring +Z(x)Z then +X(x)X
 is equivalent to a Bell-basis measurement under the fixed sign-to-label
@@ -102,7 +105,6 @@ class BasisMeasurement:
     """Measurement of a qubit pair in an orthonormal 4-vector basis."""
 
     vectors: tuple
-    targets: tuple = (0, 1)
     #: the outcome of vector i (a class constant, not a field)
     labels = (0, 1, 2, 3)
 
@@ -115,19 +117,11 @@ class BasisMeasurement:
         if np.max(np.abs(gram - np.eye(4))) > 1e-9:
             raise ValueError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-    def retargeted(self, targets):
-        """The same basis on other wires; the vectors were checked once."""
-        moved = object.__new__(type(self))
-        object.__setattr__(moved, "vectors", self.vectors)
-        object.__setattr__(moved, "targets", tuple(targets))
-        return moved
 
 
 @lru_cache(maxsize=256)
-def _basis_at_origin(shape, raw):
-    """u_basis on (0, 1) for the matrix with these C-order bytes."""
+def _u_basis(shape, raw):
+    """u_basis of the matrix with these C-order bytes."""
     u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(shape))
     # (I (x) A)|EPR> laid out on (row, col) indices is A^T / sqrt(2)
     vectors = tuple(
@@ -139,20 +133,18 @@ def _basis_at_origin(shape, raw):
     return BasisMeasurement(vectors)
 
 
-def u_basis(u, targets=(0, 1)):
+def u_basis(u):
     """Basis {(I (x) u sigma_i)|EPR>} for i = 0..3; u must be unitary.
 
     Each distinct matrix is built and checked once; a bounded cache
     keyed on its bytes hands out the same basis afterwards.
     """
     u = np.asarray(u, dtype=complex)
-    return _basis_at_origin(u.shape, u.tobytes()).retargeted(targets)
+    return _u_basis(u.shape, u.tobytes())
 
 
-def bell_basis(targets=(0, 1)):
-    """Bell basis {(I (x) sigma_n)|EPR>}, the u_basis of the identity."""
-    eye = np.eye(2, dtype=complex)
-    return _basis_at_origin(eye.shape, eye.tobytes()).retargeted(targets)
+#: Bell basis {(I (x) sigma_n)|EPR>}, the u_basis of the identity
+BELL_BASIS = u_basis(np.eye(2))
 
 
 @dataclass
@@ -184,18 +176,19 @@ def _post_state(n, amp, vector=None, order=None, p=None):
     return StateVector(n, amp, normalize=True)
 
 
-def measurement_branches(s, m):
-    """All outcome branches of a single measurement, exact probabilities.
+def measurement_branches(s, m, wires):
+    """All outcome branches of measuring the pair ``wires``, exactly.
 
-    Accepts a BasisMeasurement or a SignedPauliObservable; branches
-    with probability below ``PRUNE_TOL`` are dropped.  Every
-    probability is computed here; each post-state is built and
-    renormalized only when read.  For a basis measurement the measured
-    pair is left in the labeled basis vector.
+    Accepts a BasisMeasurement or a SignedPauliObservable, whose first
+    vector factor or letter acts on ``wires[0]``; branches with
+    probability below ``PRUNE_TOL`` are dropped.  Every probability is
+    computed here; each post-state is built and renormalized only when
+    read.  For a basis measurement the measured pair is left in the
+    labeled basis vector.
     """
     n = s.num_qubits
     if isinstance(m, BasisMeasurement):
-        t0, t1 = m.targets
+        t0, t1 = wires
         order = [t0, t1, *(i for i in range(n) if i not in (t0, t1))]
         mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
         branches = []
@@ -208,7 +201,7 @@ def measurement_branches(s, m):
             branches.append(OutcomeBranch((label,), p, _pending=pending))
         return branches
     if isinstance(m, SignedPauliObservable):
-        applied = apply_unitary(observable_matrix(m), s, m.targets)
+        applied = apply_unitary(observable_matrix(m), s, wires)
         branches = []
         for sign in (1, -1):
             amp = (s.amplitudes + sign * applied.amplitudes) / 2.0
@@ -223,9 +216,9 @@ def measurement_branches(s, m):
 def enumerate_branches(s, plan):
     """Expand a measurement plan into all outcome words.
 
-    ``plan`` is a sequence whose items are measurements or callables;
-    a callable receives the outcome word so far and returns the next
-    measurement, which lets plans adapt to earlier outcomes.  Returns
+    ``plan`` is a sequence of ``(wires, measurement)`` steps; a
+    callable measurement receives the outcome word so far and returns
+    the one to make, which lets plans adapt to earlier outcomes.  Returns
     OutcomeBranch leaves with joint probabilities; a path whose joint
     probability falls below ``PRUNE_TOL`` is dropped, so those of the
     returned branches sum to 1 up to pruning.
@@ -236,10 +229,10 @@ def enumerate_branches(s, plan):
         if not remaining:
             leaves.append(OutcomeBranch(word, prob, state))
             return
-        item = remaining[0]
-        if callable(item):
-            item = item(word)
-        for b in measurement_branches(state, item):
+        wires, m = remaining[0]
+        if callable(m):
+            m = m(word)
+        for b in measurement_branches(state, m, wires):
             joint = prob * b.probability
             if joint < PRUNE_TOL:
                 continue
@@ -252,18 +245,12 @@ def enumerate_branches(s, plan):
 def sample_plan(s, plan, rng):
     """Sample one path through a plan. Returns (word, state, probability)."""
     word, prob, state = (), 1.0, s
-    for item in plan:
-        if callable(item):
-            item = item(word)
-        branches = measurement_branches(state, item)
+    for wires, m in plan:
+        if callable(m):
+            m = m(word)
+        branches = measurement_branches(state, m, wires)
         b = branches[rng.choose([b.probability for b in branches])]
         word += b.outcomes
         prob *= b.probability
         state = b.post_state
     return word, state, prob
-
-
-def computational_distribution(s):
-    """Exact computational-basis probabilities, indexed like amplitudes."""
-    a = s.amplitudes
-    return a.real**2 + a.imag**2

@@ -154,26 +154,13 @@ def apply_unitary(u, s, targets):
     return StateVector(s.num_qubits, psi.reshape(-1))
 
 
-def inner_product(a, b):
-    """``<a|b>`` with conjugation applied to ``a``."""
+def overlap(a, b):
+    """``|<a|b>|``, the fidelity between two pure states."""
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
         )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def overlap(a, b):
-    """``|<a|b>|``, the fidelity between two pure states."""
-    return abs(inner_product(a, b))
-
-
-def equal_up_to_global_phase(a, b, tol=STATE_TOL):
-    """True when the states differ only by a global phase.
-
-    Test: ``|<a|b>| >= 1 - tol``.
-    """
-    return overlap(a, b) >= 1.0 - tol
+    return abs(complex(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def require_unitary(u):

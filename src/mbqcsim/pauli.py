@@ -9,7 +9,7 @@ until a matrix is materialized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class PauliOperator:
     def identity(cls, num_qubits):
         return cls(0, (_L.I,) * num_qubits)
 
-    @classmethod
-    def single(cls, num_qubits, qubit, letter, phase_exp=0):
-        """Embed one letter at ``qubit``, identity elsewhere."""
-        return cls(phase_exp, (letter,)).embedded(num_qubits, [qubit])
-
     def embedded(self, num_qubits, wires):
         """This operator on ``wires`` of a wider register, identity
         elsewhere: letter i lands on ``wires[i]``, the phase is kept."""
@@ -95,10 +90,6 @@ class PauliOperator:
     @property
     def num_qubits(self):
         return len(self.letters)
-
-    @property
-    def phase(self):
-        return PHASES[self.phase_exp]
 
     def is_identity_word(self):
         """True when every letter is I (phase ignored)."""
@@ -119,10 +110,10 @@ class PauliOperator:
 
     def __str__(self):
         """Text form like ``i^1 . X(x)I(x)Z`` (with real tensor glyphs)."""
-        return f"i^{self.phase_exp} · {render_letters(self.letters)}"
+        return f"i^{self.phase_exp} · {_render_letters(self.letters)}"
 
 
-def render_letters(letters):
+def _render_letters(letters):
     return "⊗".join(PauliLetter(l).name for l in letters)
 
 
@@ -193,58 +184,17 @@ def conjugate_through_CNOT(p, control, target):
     return PauliOperator(p.phase_exp + combined.phase_exp, tuple(letters))
 
 
-def as_pauli(u, tol=1e-9):
-    """Recognize ``u`` as i^k times a letter word, or return None.
-
-    The matrix of an n-qubit Pauli has one nonzero entry per column,
-    at row = column XOR flipmask.  The candidate word is read off from
-    the flip mask (X component) and the sign pattern (Z component),
-    then confirmed entrywise within ``tol``.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return None
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 2**n:
-        return None
-    col0 = u[:, 0]
-    flip = int(np.argmax(np.abs(col0)))
-    anchor = col0[flip]
-    if abs(anchor) < 0.5:
-        return None
-    letters = []
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        x = 1 if flip & bit else 0
-        other = u[flip ^ bit, bit]
-        # ratio of companion entry decides the Z component
-        ratio = other / anchor
-        if abs(ratio - 1.0) <= 0.5:
-            z = 0
-        elif abs(ratio + 1.0) <= 0.5:
-            z = 1
-        else:
-            return None
-        letters.append((_L.I, _L.X, _L.Z, _L.Y)[x + 2 * z])
-    base = PauliOperator(0, tuple(letters)).matrix()
-    for k in range(4):
-        if np.max(np.abs(u - PHASES[k] * base)) <= tol:
-            return PauliOperator(k, tuple(letters))
-    return None
-
-
 @dataclass(frozen=True)
 class SignedPauliObservable:
     """Two-qubit observable ``sign * (letters[0] (x) letters[1])``.
 
-    The first letter acts on ``targets[0]``.  Measurement outcomes are
-    eigenvalues of the signed operator, so -Z(x)Z on |00> reports -1.
+    The first letter acts on the first wire of the plan step that
+    measures it.  Measurement outcomes are eigenvalues of the signed
+    operator, so -Z(x)Z on |00> reports -1.
     """
 
     sign: int
     letters: tuple
-    targets: tuple = (0, 1)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -255,14 +205,10 @@ class SignedPauliObservable:
         if letters == (_L.I, _L.I):
             raise ValueError("observable letters must not both be identity")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-    def retargeted(self, targets):
-        return replace(self, targets=tuple(targets))
 
     def __str__(self):
         sign = "+" if self.sign > 0 else "-"
-        return f"{sign}{render_letters(self.letters)}"
+        return f"{sign}{_render_letters(self.letters)}"
 
 
 def observable_matrix(o):

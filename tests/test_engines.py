@@ -29,11 +29,10 @@ from mbqcsim.engines import (
     termination_tail,
 )
 from mbqcsim.gadgets import GadgetOutcome, cnot_branches, one_qubit_branches
-from mbqcsim.measurement import RandomSource, computational_distribution
+from mbqcsim.measurement import RandomSource
 from mbqcsim.numerics import (
     StateVector,
     basis_state,
-    equal_up_to_global_phase,
     haar_unitary,
     overlap,
     random_state,
@@ -60,7 +59,7 @@ def test_one_qubit_loop_terminates_clean():
         assert all(n != m for n, m in words[:-1])
         assert words[-1][0] == words[-1][1]
         expect = StateVector(1, u @ s.amplitudes)
-        assert equal_up_to_global_phase(expect, out)
+        assert overlap(expect, out) >= 1.0 - 1e-9
 
 
 def test_one_qubit_loop_is_bounded(monkeypatch):
@@ -131,9 +130,7 @@ def test_engine_matches_oracle_on_example(name):
     report = ENGINES[name](c, s, RandomSource(8))
     assert report.engine == name
     assert report.fidelity_vs_oracle >= 1.0 - 1e-9
-    assert equal_up_to_global_phase(
-        oracle_apply(c, s), report.final_state, tol=1e-6
-    )
+    assert overlap(oracle_apply(c, s), report.final_state) >= 1.0 - 1e-6
 
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -255,9 +252,7 @@ def test_frame_report_mode_returns_frame():
     # apply mode folds the same frame in
     applied = run_frame(c, s, RandomSource(3), finalize="apply")
     assert applied.final_frame is None
-    assert equal_up_to_global_phase(
-        applied.final_state, corrected, tol=1e-6
-    )
+    assert overlap(applied.final_state, corrected) >= 1.0 - 1e-6
 
 
 def test_frame_invariant_check_runs_clean():
@@ -346,10 +341,8 @@ def test_reinterpretation_equals_applying_the_frame():
         letters = tuple(L(int(i)) for i in gen.integers(0, 4, size=2))
         frame = PauliOperator(int(gen.integers(0, 4)), letters)
         s = random_state(2, gen)
-        corrected = computational_distribution(apply_pauli(frame, s))
-        relabeled = reinterpret_distribution(
-            frame, computational_distribution(s)
-        )
+        corrected = np.abs(apply_pauli(frame, s).amplitudes) ** 2
+        relabeled = reinterpret_distribution(frame, np.abs(s.amplitudes) ** 2)
         assert np.array_equal(corrected, relabeled)
 
 
@@ -362,8 +355,8 @@ def test_reinterpreting_a_frame_run_equals_applying_its_frame(c, seed):
     report = run_frame(c, s, RandomSource(seed), finalize="report")
     raw, frame = report.final_state, report.final_frame
     assert np.array_equal(
-        reinterpret_distribution(frame, computational_distribution(raw)),
-        computational_distribution(apply_pauli(frame, raw)),
+        reinterpret_distribution(frame, np.abs(raw.amplitudes) ** 2),
+        np.abs(apply_pauli(frame, raw).amplitudes) ** 2,
     )
 
 
@@ -413,19 +406,25 @@ def test_compare_costs_rows_and_summary():
     c = parse_circuit("qubits 2\nH 0\nCNOT 0 1\nT 1\n")
     rows = compare_costs(c, trials=4, seed=2)
     assert len(rows) == 4 * len(ENGINE_NAMES)
-    for r in rows:
-        assert r.circuit_len == 3
-        assert r.fidelity >= 1.0 - 1e-9
-        if r.engine in ("postponed", "frame"):
-            assert r.gadget_calls == 3
-            assert r.corrective_calls == 0
+    for engine, _, r in rows:
+        assert r.engine == engine
+        assert r.fidelity_vs_oracle >= 1.0 - 1e-9
+        if engine in ("postponed", "frame"):
+            assert r.total_gadget_calls == 3
+            assert r.corrective_gadget_calls == 0
         else:
-            assert r.gadget_calls >= 3
-    assert [r.engine for r in rows] == list(ENGINE_NAMES) * 4
+            assert r.total_gadget_calls >= 3
+    assert [e for e, _, _ in rows] == list(ENGINE_NAMES) * 4
+    assert [t for _, t, _ in rows] == [t for t in range(4) for _ in ENGINE_NAMES]
 
 
 def test_compare_costs_deterministic():
     c = parse_circuit(EXAMPLE)
-    a = compare_costs(c, trials=2, seed=9)
-    b = compare_costs(c, trials=2, seed=9)
-    assert a == b
+
+    def run():
+        return [
+            (e, t, r.to_json_dict(), r.final_state.amplitudes.tobytes())
+            for e, t, r in compare_costs(c, trials=2, seed=9)
+        ]
+
+    assert run() == run()

@@ -9,10 +9,8 @@ from mbqcsim.numerics import (
     StateVector,
     apply_unitary,
     basis_state,
-    equal_up_to_global_phase,
     factor_out,
     haar_unitary,
-    inner_product,
     overlap,
     permute_qubits,
     purify,
@@ -119,21 +117,15 @@ def test_apply_unitary_shape_check():
 def test_overlap_is_abs_inner_product():
     plus = StateVector(1, np.array([1, 1], dtype=complex), normalize=True)
     zero = basis_state("0")
-    assert np.isclose(inner_product(zero, plus), 1 / np.sqrt(2.0))
     assert np.isclose(overlap(zero, plus), 1 / np.sqrt(2.0))
-
-
-def test_inner_product_dimension_check():
-    with pytest.raises(ValueError):
-        inner_product(basis_state("0"), basis_state("00"))
-
-
-def test_equal_up_to_global_phase():
     s = random_state(2, np.random.default_rng(3))
     rotated = StateVector(2, np.exp(0.7j) * s.amplitudes)
-    assert equal_up_to_global_phase(s, rotated)
-    other = apply_unitary(X, s, [0])
-    assert not equal_up_to_global_phase(s, other)
+    assert np.isclose(overlap(s, rotated), 1.0, atol=1e-12)
+
+
+def test_overlap_dimension_check():
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        overlap(basis_state("0"), basis_state("00"))
 
 
 def test_require_unitary():
