@@ -126,11 +126,9 @@ def _cmd_simulate(args):
 def _cmd_verify_table1(args):
     seed = _seed(args.seed)
     table = load_table1(args.table) if args.table else None
-    report = verify_table1(
-        table=table, states_per_key=args.states, seed=seed
-    )
+    report = verify_table1(table=table, states_per_key=args.states, seed=seed)
     with _output(args.out) as out:
-        out.write(report.render(table))
+        out.write(report.render())
     return 0 if report.ok else 1
 
 
@@ -164,13 +162,13 @@ def _cmd_compare(args):
             "engine,circuit_len,trial,gadget_calls,corrective_calls,fidelity",
             file=out,
         )
-        for engine, trial, r in rows:
+        for trial, r in rows:
             print(
-                f"{engine},{len(circuit)},{trial},{r.total_gadget_calls},"
+                f"{r.engine},{len(circuit)},{trial},{r.total_gadget_calls},"
                 f"{r.corrective_gadget_calls},{r.fidelity_vs_oracle:.12f}",
                 file=out,
             )
-    return 0 if all(r.fidelity_vs_oracle >= FIDELITY_GATE for *_, r in rows) else 1
+    return 0 if all(r.fidelity_vs_oracle >= FIDELITY_GATE for _, r in rows) else 1
 
 
 #: smallest accepted value of each counting option

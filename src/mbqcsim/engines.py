@@ -377,13 +377,13 @@ def compare_costs(circuit, trials, seed):
 
     Trial t of every engine starts from the same random input state;
     engines draw from disjoint substreams.  Returns a list of
-    (engine name, trial, RunReport).
+    (trial, RunReport) pairs, trial by trial in ``ENGINES`` order.
     """
     src = RandomSource(seed)
     rows = []
     for trial in range(trials):
         sub = src.substream(trial)
         state = random_state(circuit.num_qubits, sub.substream(0).gen)
-        for k, (name, run) in enumerate(ENGINES.items()):
-            rows.append((name, trial, run(circuit, state, sub.substream(1 + k))))
+        for k, run in enumerate(ENGINES.values()):
+            rows.append((trial, run(circuit, state, sub.substream(1 + k))))
     return rows

@@ -409,20 +409,20 @@ class Table1BranchCheck:
 
 @dataclass(frozen=True)
 class Table1Report:
-    """Exhaustive verification result over all 16 keys."""
+    """Exhaustive verification result over all 16 keys of ``table``."""
 
+    table: dict
     checks: tuple
     states_per_key: int
     ok: bool
 
-    def render(self, table=None):
-        table = TABLE1 if table is None else table
+    def render(self):
         lines = []
         key = None
         for c in self.checks:
             if (c.sigma_p, c.n) != key:
                 key = (c.sigma_p, c.n)
-                e = table[key]
+                e = self.table[key]
                 lines.append(
                     f"sigma_p={c.sigma_p.name} n={c.n}  M1={e.m1}  "
                     f"M2(r1=+1)={e.m2_pos}  M2(r1=-1)={e.m2_neg}"
@@ -461,6 +461,7 @@ def verify_table1(table=None, states_per_key=20, seed=0):
     """
     if states_per_key < 1:
         raise ValueError(f"states_per_key must be at least 1, got {states_per_key}")
+    table = TABLE1 if table is None else table
     rng = RandomSource(seed)
     # per key and input: (realized letter, deficit, best fit expected, p);
     # an input that does not reach the branch: no letter, deficit 1, p = 0
@@ -508,4 +509,4 @@ def verify_table1(table=None, states_per_key=20, seed=0):
                 ok=deficit <= VERIFY_TOL and all(matched),
             )
         )
-    return Table1Report(tuple(checks), states_per_key, all(c.ok for c in checks))
+    return Table1Report(table, tuple(checks), states_per_key, all(c.ok for c in checks))

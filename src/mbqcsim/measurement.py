@@ -8,14 +8,15 @@ Two measurement kinds exist:
 * :class:`~mbqcsim.pauli.SignedPauliObservable`: a +-1-valued 2-qubit
   observable; the outcome is the eigenvalue of the signed operator.
 
-``measurement_branches`` is the one per-measurement primitive: it
-computes every branch's exact Born probability up front, and builds a
-branch's post-state only when it is read.  ``sample_plan`` draws one
-branch per measurement (one ``RandomSource.choose`` each) and so builds
-one post-state; ``enumerate_branches`` expands a plan into every
-outcome word with its post-state.  Enumeration, on the whole register,
-is the brute-force oracle the test suite checks gadgets (which sample
-on purifications of their data wires) and engines against.
+``measurement_branches`` is the one per-measurement primitive: it lays
+the register out with the pair first, computes every branch's exact
+Born probability up front, and builds a branch's post-state only when
+it is read.  ``sample_plan`` draws one branch per measurement (one
+``RandomSource.choose`` each) and so builds one post-state;
+``enumerate_branches`` expands a plan into every outcome word with its
+post-state.  Enumeration, on the whole register, is the brute-force
+oracle the test suite checks gadgets (which sample on purifications of
+their data wires) and engines against.
 
 A plan is a sequence of ``(wires, measurement)`` steps, where the
 measurement may be a callable of the outcome word so far; a
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import StateVector, apply_unitary, permute_qubits, require_unitary
+from .numerics import StateVector, _check_targets, permute_qubits, require_unitary
 from .pauli import (
     PauliLetter,
     SignedPauliObservable,
@@ -167,12 +168,12 @@ class OutcomeBranch:
         return self._state
 
 
-def _post_state(n, amp, vector=None, order=None, p=None):
-    """Renormalized post-state; a basis branch puts ``vector`` back on
-    the measured pair of the rest ``amp`` laid out by ``order``."""
+def _post_state(n, order, block, vector=None, p=None):
+    """Renormalized post-state from a pair-first ``block`` laid out by
+    ``order``; a basis branch first puts ``vector`` back on the pair."""
     if vector is not None:
-        post = np.outer(vector, amp / np.sqrt(p))
-        amp = permute_qubits(post, order, inverse=True).reshape(-1)
+        block = np.outer(vector, block / np.sqrt(p))
+    amp = permute_qubits(block, order, inverse=True).reshape(-1)
     return StateVector(n, amp, normalize=True)
 
 
@@ -180,37 +181,33 @@ def measurement_branches(s, m, wires):
     """All outcome branches of measuring the pair ``wires``, exactly.
 
     Accepts a BasisMeasurement or a SignedPauliObservable, whose first
-    vector factor or letter acts on ``wires[0]``; branches with
-    probability below ``PRUNE_TOL`` are dropped.  Every probability is
-    computed here; each post-state is built and renormalized only when
-    read.  For a basis measurement the measured pair is left in the
-    labeled basis vector.
+    vector factor or letter acts on ``wires[0]``.  One 4 x 2^(n-2) block
+    with the pair first gives every outcome's block: ``v^dagger`` times
+    it for basis vector v, ``(1 +- O)/2`` times it for observable O.
+    Branches below ``PRUNE_TOL`` are dropped; a post-state is built only
+    when read, and a basis branch leaves the pair in its vector.
     """
     n = s.num_qubits
+    if len(wires) != 2:
+        raise ValueError(f"a measurement acts on 2 wires, got {len(wires)}")
+    order = [*_check_targets(n, wires), *(i for i in range(n) if i not in wires)]
+    mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
     if isinstance(m, BasisMeasurement):
-        t0, t1 = wires
-        order = [t0, t1, *(i for i in range(n) if i not in (t0, t1))]
-        mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
-        branches = []
-        for label, v in zip(m.labels, m.vectors):
-            amp = v.amplitudes.conj() @ mat
-            p = float(np.real(np.vdot(amp, amp)))
-            if p < PRUNE_TOL:
-                continue
-            pending = (n, amp, v.amplitudes, order, p)
-            branches.append(OutcomeBranch((label,), p, _pending=pending))
-        return branches
-    if isinstance(m, SignedPauliObservable):
-        applied = apply_unitary(observable_matrix(m), s, wires)
-        branches = []
-        for sign in (1, -1):
-            amp = (s.amplitudes + sign * applied.amplitudes) / 2.0
-            p = float(np.real(np.vdot(amp, amp)))
-            if p < PRUNE_TOL:
-                continue
-            branches.append(OutcomeBranch((sign,), p, _pending=(n, amp)))
-        return branches
-    raise TypeError(f"not a measurement: {m!r}")
+        vectors = [v.amplitudes for v in m.vectors]
+        blocks = [(l, v, v.conj() @ mat) for l, v in zip(m.labels, vectors)]
+    elif isinstance(m, SignedPauliObservable):
+        applied = observable_matrix(m) @ mat
+        blocks = [(sign, None, (mat + sign * applied) / 2.0) for sign in (1, -1)]
+    else:
+        raise TypeError(f"not a measurement: {m!r}")
+    branches = []
+    for outcome, vector, block in blocks:
+        p = float(np.real(np.vdot(block, block)))
+        if p < PRUNE_TOL:
+            continue
+        pending = (n, order, block, vector, p)
+        branches.append(OutcomeBranch((outcome,), p, _pending=pending))
+    return branches
 
 
 def enumerate_branches(s, plan):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,11 +212,13 @@ class SignedPauliObservable:
         return f"{sign}{_render_letters(self.letters)}"
 
 
+@lru_cache(maxsize=30)  # one entry per signed observable
 def observable_matrix(o):
-    """4x4 matrix of a signed observable (squares to the identity)."""
-    return o.sign * np.kron(
-        _LETTER_MATRICES[o.letters[0]], _LETTER_MATRICES[o.letters[1]]
-    )
+    """Read-only 4x4 matrix of a signed observable, built once and shared."""
+    a, b = (_LETTER_MATRICES[l] for l in o.letters)
+    m = o.sign * np.kron(a, b)
+    m.setflags(write=False)
+    return m
 
 
 def apply_pauli(p, s):

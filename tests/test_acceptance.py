@@ -262,9 +262,9 @@ def test_criterion_7_cost_dominance(attempt_counts):
     for idx, text in enumerate(circuits):
         circuit = parse_circuit(text)
         rows = compare_costs(circuit, trials=15, seed=7700 + idx)
-        frame_calls = {r.total_gadget_calls for e, _, r in rows if e == "frame"}
+        frame_calls = {r.total_gadget_calls for _, r in rows if r.engine == "frame"}
         nielsen_mean = float(
-            np.mean([r.total_gadget_calls for e, _, r in rows if e == "nielsen"])
+            np.mean([r.total_gadget_calls for _, r in rows if r.engine == "nielsen"])
         )
         assert frame_calls == {len(circuit)}
         dominance.append((len(circuit), nielsen_mean))

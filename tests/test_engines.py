@@ -406,16 +406,15 @@ def test_compare_costs_rows_and_summary():
     c = parse_circuit("qubits 2\nH 0\nCNOT 0 1\nT 1\n")
     rows = compare_costs(c, trials=4, seed=2)
     assert len(rows) == 4 * len(ENGINE_NAMES)
-    for engine, _, r in rows:
-        assert r.engine == engine
+    for _, r in rows:
         assert r.fidelity_vs_oracle >= 1.0 - 1e-9
-        if engine in ("postponed", "frame"):
+        if r.engine in ("postponed", "frame"):
             assert r.total_gadget_calls == 3
             assert r.corrective_gadget_calls == 0
         else:
             assert r.total_gadget_calls >= 3
-    assert [e for e, _, _ in rows] == list(ENGINE_NAMES) * 4
-    assert [t for _, t, _ in rows] == [t for t in range(4) for _ in ENGINE_NAMES]
+    assert [r.engine for _, r in rows] == list(ENGINE_NAMES) * 4
+    assert [t for t, _ in rows] == [t for t in range(4) for _ in ENGINE_NAMES]
 
 
 def test_compare_costs_deterministic():
@@ -423,8 +422,8 @@ def test_compare_costs_deterministic():
 
     def run():
         return [
-            (e, t, r.to_json_dict(), r.final_state.amplitudes.tobytes())
-            for e, t, r in compare_costs(c, trials=2, seed=9)
+            (t, r.to_json_dict(), r.final_state.amplitudes.tobytes())
+            for t, r in compare_costs(c, trials=2, seed=9)
         ]
 
     assert run() == run()

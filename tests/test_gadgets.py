@@ -397,8 +397,11 @@ def test_verify_table1_catches_a_corrupted_row():
     bad = [c for c in report.checks if not c.ok]
     assert bad
     assert all(c.sigma_p is L.X and c.n == 2 for c in bad)
-    assert "MISMATCH" in report.render(corrupted)
-    assert "table verification: FAIL" in report.render(corrupted)
+    text = report.render()
+    # the key line shows the corrupted row that was verified
+    assert "sigma_p=X n=2  M1=-Z⊗Z  " in text
+    assert "MISMATCH" in text
+    assert "table verification: FAIL" in text
 
 
 def test_verify_table1_fails_a_branch_some_input_never_reaches(monkeypatch):

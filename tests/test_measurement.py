@@ -1,12 +1,16 @@
 """Projective measurement machinery: bases, branching, sampling."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from mbqcsim.circuit import H_MATRIX
+from mbqcsim.circuit import H_MATRIX, T_MATRIX
 from mbqcsim.measurement import (
     BELL_LABEL_FROM_SIGNS,
     BELL_BASIS,
+    PRUNE_TOL,
     BasisMeasurement,
     RandomSource,
     enumerate_branches,
@@ -16,6 +20,7 @@ from mbqcsim.measurement import (
     u_basis,
 )
 from mbqcsim.numerics import (
+    StateVector,
     apply_unitary,
     basis_state,
     overlap,
@@ -278,6 +283,81 @@ def test_branch_pruning_drops_impossible_outcomes():
         basis_state("00"), SignedPauliObservable(1, (L.Z, L.Z)), (0, 1)
     )
     assert [b.outcomes for b in branches] == [(1,)]
+
+
+@pytest.mark.parametrize("m", [BELL_BASIS, SignedPauliObservable(1, (L.Z, L.Z))])
+@pytest.mark.parametrize(
+    "wires, message",
+    [
+        ((0, 3), "target qubit 3 out of range for 3-qubit register"),
+        ((0, 0), "duplicate target qubits: [0, 0]"),
+        ((0,), "a measurement acts on 2 wires, got 1"),
+    ],
+)
+def test_measurement_branches_rejects_bad_wires(m, wires, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        measurement_branches(basis_state("000"), m, wires)
+
+
+#: all 30 signed two-qubit observables
+OBSERVABLES = [
+    SignedPauliObservable(sign, letters)
+    for sign in (1, -1)
+    for letters in itertools.product(L, repeat=2)
+    if letters != (L.I, L.I)
+]
+
+
+def _dense_observable_branches(s, o, wires):
+    """(sign, p, post-state) of O applied to the whole register."""
+    applied = apply_unitary(observable_matrix(o), s, wires)
+    out = []
+    for sign in (1, -1):
+        amp = (s.amplitudes + sign * applied.amplitudes) / 2.0
+        p = float(np.real(np.vdot(amp, amp)))
+        if p >= PRUNE_TOL:
+            out.append((sign, p, StateVector(s.num_qubits, amp, normalize=True)))
+    return out
+
+
+def _dense_basis_branches(s, basis, wires):
+    """(label, p, post-state) of |v><v| applied to the whole register."""
+    psi = s.amplitudes.reshape((2,) * s.num_qubits)
+    out = []
+    for label, v in zip(basis.labels, basis.vectors):
+        proj = np.outer(v.amplitudes, v.amplitudes.conj()).reshape(2, 2, 2, 2)
+        projected = np.tensordot(proj, psi, axes=([2, 3], list(wires)))
+        amp = np.moveaxis(projected, [0, 1], list(wires)).reshape(-1)
+        p = float(np.real(np.vdot(amp, amp)))
+        if p >= PRUNE_TOL:
+            out.append((label, p, StateVector(s.num_qubits, amp, normalize=True)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_branches_match_dense_reference(n):
+    # a random state and a basis state, which prunes branches, on every
+    # ordered pair: observables bit for bit, bases to rounding
+    gen = np.random.default_rng(400 + n)
+    bits = "".join(str(b) for b in gen.integers(0, 2, size=n))
+    bases = [BELL_BASIS, u_basis(H_MATRIX), u_basis(T_MATRIX)]
+    for s in (random_state(n, gen), basis_state(bits)):
+        for wires in itertools.permutations(range(n), 2):
+            for o in OBSERVABLES:
+                got = measurement_branches(s, o, wires)
+                ref = _dense_observable_branches(s, o, wires)
+                assert [b.outcomes for b in got] == [(r[0],) for r in ref]
+                for b, (_, p, post) in zip(got, ref):
+                    assert abs(b.probability - p) <= 1e-15
+                    got_bytes = b.post_state.amplitudes.tobytes()
+                    assert got_bytes == post.amplitudes.tobytes()
+            for basis in bases:
+                got = measurement_branches(s, basis, wires)
+                ref = _dense_basis_branches(s, basis, wires)
+                assert [b.outcomes for b in got] == [(r[0],) for r in ref]
+                for b, (_, p, post) in zip(got, ref):
+                    assert abs(b.probability - p) <= 1e-12
+                    assert overlap(b.post_state, post) >= 1 - 1e-12
 
 
 def test_measurement_branches_rejects_unknown_type():

@@ -200,6 +200,10 @@ def test_observable_matrix_squares_to_identity():
                 m = observable_matrix(SignedPauliObservable(sign, (a, b)))
                 assert np.allclose(m @ m, np.eye(4), atol=1e-12)
                 assert np.allclose(m, m.conj().T, atol=1e-12)
+                # cached and shared by every caller, so never writable
+                assert not m.flags.writeable
+                kron = sign * np.kron(letter_matrix(a), letter_matrix(b))
+                assert m.tobytes() == kron.tobytes()
 
 
 def test_apply_pauli_ignores_phase():
