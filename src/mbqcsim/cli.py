@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -34,6 +35,7 @@ from .circuit import parse_circuit
 from .engines import (
     ENGINE_NAMES,
     ENGINES,
+    MAX_LOOP_ATTEMPTS,
     RetryLimitExceeded,
     compare_costs,
     sample_attempt_counts,
@@ -171,8 +173,14 @@ def _cmd_compare(args):
     return 0 if all(r.fidelity_vs_oracle >= FIDELITY_GATE for _, r in rows) else 1
 
 
-#: smallest accepted value of each counting option
-_MINIMUMS = {"trials": 1, "states": 1, "max_k": 0}
+#: smallest and largest accepted value of each counting option; every
+#: retry loop stops by MAX_LOOP_ATTEMPTS, so a tail row past it would
+#: only print 0, and a huge --max-k would burn time and memory on them
+_BOUNDS = {
+    "trials": (1, math.inf),
+    "states": (1, math.inf),
+    "max_k": (0, MAX_LOOP_ATTEMPTS),
+}
 
 
 def build_parser():
@@ -208,7 +216,12 @@ def build_parser():
 
     st = sub.add_parser("stats", help="retry-loop attempt statistics as CSV")
     st.add_argument("--trials", type=int, default=10000)
-    st.add_argument("--max-k", type=int, default=10, help="largest tail cutoff")
+    st.add_argument(
+        "--max-k",
+        type=int,
+        default=10,
+        help=f"largest tail cutoff, at most {MAX_LOOP_ATTEMPTS}",
+    )
     st.set_defaults(func=_cmd_stats)
 
     cmp_ = sub.add_parser("compare", help="per-engine gadget-cost CSV")
@@ -226,11 +239,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        for name, low in _MINIMUMS.items():
+        for name, (low, high) in _BOUNDS.items():
             value = getattr(args, name, low)
+            flag = "--" + name.replace("_", "-")
             if value < low:
-                flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be at least {low}, got {value}")
+            if value > high:
+                raise ValueError(f"{flag} must be at most {high}, got {value}")
         return args.func(args)
     except (ValueError, OSError, RetryLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

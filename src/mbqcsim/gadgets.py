@@ -29,8 +29,11 @@ Each gadget is one spec: the input extended by its (cached) resource
 wires, the measurement plan, the decoding of an outcome word into the
 byproduct, and the compaction back to the data wires.  The decoding
 is the one word-to-byproduct rule: engines read ``byproduct``, never
-the word.  Two drivers run every spec.  ``*_branches`` enumerates all
-16 words on the register itself, the reference.  ``*_gadget`` samples
+the word.  Each gadget has 16 words, so each decoding is cached per
+word; a ``PauliOperator`` is frozen and builds its matrix once, so
+calls share the byproduct and its matrix.  Two drivers run every
+spec.  ``*_branches`` enumerates all 16 words on the register itself,
+the reference.  ``*_gadget`` samples
 one path (one draw and one built post-state per measurement) on the
 smallest purification of its k data wires, at most 2k qubits
 (``narrow``).  Its statistics and branch map depend only on the data
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -286,14 +289,20 @@ def _one_wire_spec(s, q, plan, decode):
     )
 
 
-def _one_qubit_spec(u, s, q):
-    def decode(word):
-        n_lbl, m_lbl = word
-        return multiply(PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),)))
+@lru_cache(maxsize=16)  # one entry per outcome word
+def _one_qubit_byproduct(word):
+    """sigma_n sigma_m of the word (n, m); a frozen operator, so shared."""
+    n_lbl, m_lbl = word
+    return multiply(PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),)))
 
+
+def _one_qubit_spec(u, s, q):
     # u_basis rejects a u that is not unitary, once per distinct matrix
     return _one_wire_spec(
-        s, q, lambda a1, a2: [((a1, a2), u_basis(u)), ((q, a1), BELL_BASIS)], decode
+        s,
+        q,
+        lambda a1, a2: [((a1, a2), u_basis(u)), ((q, a1), BELL_BASIS)],
+        _one_qubit_byproduct,
     )
 
 
@@ -330,11 +339,14 @@ def _t_spec(sigma_p, table, s, q):
     def plan(a1, a2):
         return [((a1, a2), u_basis(T_MATRIX)), ((q, a1), m1), ((q, a1), m2)]
 
-    def decode(word):
-        n_lbl, r1, r2 = word
-        return PauliOperator(0, (theorem1_correction(r1, r2),))
+    return _one_wire_spec(s, q, plan, _t_byproduct)
 
-    return _one_wire_spec(s, q, plan, decode)
+
+@lru_cache(maxsize=16)  # one entry per outcome word
+def _t_byproduct(word):
+    """C_T of the word (n, r1, r2); a frozen operator, so shared."""
+    n_lbl, r1, r2 = word
+    return PauliOperator(0, (theorem1_correction(r1, r2),))
 
 
 def adapted_t_gadget(s, q, sigma_p, rng):
@@ -354,20 +366,21 @@ def adapted_t_branches(s, q, sigma_p, table=None):
     return _enumerate(partial(_t_spec, sigma_p, table), s, (q,))
 
 
+@lru_cache(maxsize=16)  # one entry per outcome word
+def _cnot_byproduct(word):
+    """The output-side image of the word's corrections, which enter
+    before the CNOT as sigma_n (x) sigma_m; frozen, so shared."""
+    n_lbl, m_lbl = word
+    return conjugate_through_CNOT(PauliOperator(0, (_L(n_lbl), _L(m_lbl))), 0, 1)
+
+
 def _cnot_spec(s, control, target):
     n = s.num_qubits
-
-    def decode(word):
-        # corrections enter before the CNOT as sigma_n (x) sigma_m; the
-        # reported byproduct is their image on the output side
-        n_lbl, m_lbl = word
-        return conjugate_through_CNOT(PauliOperator(0, (_L(n_lbl), _L(m_lbl))), 0, 1)
-
     # r1 = n and r4 = n + 3 are measured; r2 and r3 carry the outputs
     return _Spec(
         tensor(s, _cnot_wires()),
         [((control, n), BELL_BASIS), ((target, n + 3), BELL_BASIS)],
-        decode,
+        _cnot_byproduct,
         lambda state: _compact(
             state, [control, target, n, n + 3], (control, target), n
         ),

@@ -18,6 +18,16 @@ post-state.  Enumeration, on the whole register, is the brute-force
 oracle the test suite checks gadgets (which sample on purifications of
 their data wires) and engines against.
 
+An outcome costs one product with the pair-first block, as few numpy
+calls as that allows, and every bit is that of the plain formulas.  A
+basis stores its conjugated rows once, so ``rows[i] @ block`` has the
+operands of ``v.conj() @ block``; a probability is
+``np.vdot(b, b).real.item()``, the float ``float(np.real(...))`` gives;
+a basis post-state puts the vector back by ``np.outer``'s own
+broadcast multiply.  One stacked 4 x 4 product for all four
+outcomes would save calls but sums in another order, which moves the
+last bit of some rows, so it is not used.
+
 A plan is a sequence of ``(wires, measurement)`` steps, where the
 measurement may be a callable of the outcome word so far; a
 measurement names no wires, so one object serves every pair.  Bases
@@ -80,20 +90,26 @@ class RandomSource:
         return RandomSource(self.seed, self.key + indices)
 
     def choose(self, probabilities):
-        """Sample an index; probabilities need not be exactly normalized."""
-        p = np.asarray(probabilities, dtype=float)
-        total = float(p.sum())
+        """Sample an index; probabilities need not be exactly normalized.
+
+        Sums in Python floats, left to right: for four or fewer
+        weights, as every draw of the package has, that is the sum
+        numpy's ``sum`` gives, so the drawn index is the same.
+        """
+        total = 0.0
+        for p in probabilities:
+            total += p
         if total < PRUNE_TOL:
             raise ValueError(
                 "all outcome probabilities vanish; state is corrupted"
             )
         u = self.gen.random() * total
         acc = 0.0
-        for i, pi in enumerate(p):
-            acc += pi
+        for i, p in enumerate(probabilities):
+            acc += p
             if u < acc:
                 return i
-        return len(p) - 1
+        return len(probabilities) - 1
 
 
 def epr_state():
@@ -106,6 +122,8 @@ class BasisMeasurement:
     """Measurement of a qubit pair in an orthonormal 4-vector basis."""
 
     vectors: tuple
+    #: row i is vector i conjugated (read-only), the bra of outcome i
+    rows: tuple = field(init=False, repr=False, compare=False)
     #: the outcome of vector i (a class constant, not a field)
     labels = (0, 1, 2, 3)
 
@@ -114,24 +132,29 @@ class BasisMeasurement:
         if len(vectors) != 4 or any(v.num_qubits != 2 for v in vectors):
             raise ValueError("need exactly four 2-qubit basis vectors")
         stacked = np.array([v.amplitudes for v in vectors])
-        gram = stacked.conj() @ stacked.T
+        rows = stacked.conj()
+        gram = rows @ stacked.T
         if np.max(np.abs(gram - np.eye(4))) > 1e-9:
             raise ValueError("basis vectors are not orthonormal")
+        rows.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "rows", tuple(rows))
+
+
+#: sigma_0..sigma_3 stacked, so ``u @ _LETTERS`` is every u sigma_i at once
+_LETTERS = np.array([letter_matrix(PauliLetter(i)) for i in range(4)])
 
 
 @lru_cache(maxsize=256)
 def _u_basis(shape, raw):
     """u_basis of the matrix with these C-order bytes."""
     u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(shape))
-    # (I (x) A)|EPR> laid out on (row, col) indices is A^T / sqrt(2)
-    vectors = tuple(
-        StateVector(
-            2, (u @ letter_matrix(PauliLetter(i))).T.reshape(-1) / np.sqrt(2.0)
-        )
-        for i in range(4)
-    )
-    return BasisMeasurement(vectors)
+    # (I (x) A)|EPR> laid out on (row, col) indices is A^T / sqrt(2); an
+    # entry of u sigma_i is an entry of u times 0, +-1 or +-i plus a
+    # zero, all exact, so one stacked product has the bytes of four
+    # separate ones
+    rows = (u @ _LETTERS).transpose(0, 2, 1).reshape(4, 4) / np.sqrt(2.0)
+    return BasisMeasurement(tuple(StateVector(2, r) for r in rows))
 
 
 def u_basis(u):
@@ -148,7 +171,7 @@ def u_basis(u):
 BELL_BASIS = u_basis(np.eye(2))
 
 
-@dataclass
+@dataclass(slots=True)
 class OutcomeBranch:
     """One leaf of a measurement plan: outcome word, probability, state.
 
@@ -172,7 +195,8 @@ def _post_state(n, order, block, vector=None, p=None):
     """Renormalized post-state from a pair-first ``block`` laid out by
     ``order``; a basis branch first puts ``vector`` back on the pair."""
     if vector is not None:
-        block = np.outer(vector, block / np.sqrt(p))
+        # np.outer's multiply, without its ravel and asarray calls
+        block = vector[:, None] * (block / np.sqrt(p))[None, :]
     amp = permute_qubits(block, order, inverse=True).reshape(-1)
     return StateVector(n, amp, normalize=True)
 
@@ -193,8 +217,10 @@ def measurement_branches(s, m, wires):
     order = [*_check_targets(n, wires), *(i for i in range(n) if i not in wires)]
     mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
     if isinstance(m, BasisMeasurement):
-        vectors = [v.amplitudes for v in m.vectors]
-        blocks = [(l, v, v.conj() @ mat) for l, v in zip(m.labels, vectors)]
+        blocks = [
+            (l, v.amplitudes, row @ mat)
+            for l, v, row in zip(m.labels, m.vectors, m.rows)
+        ]
     elif isinstance(m, SignedPauliObservable):
         applied = observable_matrix(m) @ mat
         blocks = [(sign, None, (mat + sign * applied) / 2.0) for sign in (1, -1)]
@@ -202,7 +228,7 @@ def measurement_branches(s, m, wires):
         raise TypeError(f"not a measurement: {m!r}")
     branches = []
     for outcome, vector, block in blocks:
-        p = float(np.real(np.vdot(block, block)))
+        p = np.vdot(block, block).real.item()
         if p < PRUNE_TOL:
             continue
         pending = (n, order, block, vector, p)

@@ -8,6 +8,18 @@ is the vector with a 1 at index 2.
 Everything here is straightforward dense arithmetic on complex128
 arrays; registers stay small (a handful of qubits plus gadget
 ancillas), so no sparse or compiled machinery is involved.
+
+On a register that small, a call costs interpreter and numpy dispatch
+more than arithmetic, so the hot helpers call ndarray methods and
+ufuncs directly, with the arithmetic of the plain formulas.  A tensor
+or rank-1 product is ``a[:, None] * b[None, :]``, the very multiply
+``np.outer`` calls after its ravel and asarray calls (and so the
+products of ``np.kron``); ``b`` goes in as a row, because a 1-D ``b``
+of length 1 sends numpy down another loop that rounds differently.
+``permute_qubits`` calls ``.transpose``, the method ``np.transpose``
+forwards to.  Results are bit for bit those of the plain formulas;
+``factor_out``'s leak residual, a check that gates but never enters a
+result, is one ``vdot``.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ def basis_state(bits):
 def tensor(a, b):
     """Tensor product; ``a``'s qubits come first (more significant)."""
     # the outer product holds np.kron's products in np.kron's order
-    amps = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    amps = (a.amplitudes[:, None] * b.amplitudes[None, :]).reshape(-1)
     return StateVector(a.num_qubits + b.num_qubits, amps)
 
 
@@ -133,7 +145,7 @@ def permute_qubits(amps, perm, inverse=False):
     reshapes to the same bytes.  ``inverse=True`` undoes ``perm``.
     """
     shape, axes = _transpose_plan(tuple(perm), inverse)
-    return np.transpose(amps.reshape(shape), axes)
+    return amps.reshape(shape).transpose(axes)
 
 
 def apply_unitary(u, s, targets):
@@ -204,7 +216,8 @@ def factor_out(s, dead):
         raise ValueError("cannot factor out qubits from a zero vector")
     live = mat[row] / np.sqrt(norms2[row])
     coeffs = mat @ live.conj()
-    residual = float(np.linalg.norm(mat - np.outer(coeffs, live)))
+    diff = mat - coeffs[:, None] * live[None, :]
+    residual = math.sqrt(np.vdot(diff, diff).real)
     if residual > STATE_TOL:
         raise ValueError(
             f"qubits {dead} remain entangled with the register "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,12 +97,19 @@ class PauliOperator:
         return all(l is _L.I for l in self.letters)
 
     def matrix(self):
+        """Read-only matrix of the operator, built once and shared."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self):
         # np.kron's products in np.kron's order, without its overhead
         m = np.ones((1, 1), dtype=complex)
         for l in self.letters:
             s = _LETTER_MATRICES[l]
             m = (m[:, None, :, None] * s[None, :, None, :]).reshape(2 * len(m), -1)
-        return PHASES[self.phase_exp] * m
+        m = PHASES[self.phase_exp] * m
+        m.setflags(write=False)
+        return m
 
     def with_letter(self, qubit, letter):
         letters = list(self.letters)

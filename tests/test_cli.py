@@ -194,6 +194,11 @@ def test_seed_env_must_be_integer(circuit_file, monkeypatch, capsys):
         (["simulate", "--trials", "-1"], "--trials must be at least 1, got -1"),
         (["compare", "--trials", "0"], "--trials must be at least 1, got 0"),
         (["verify-table1", "--states", "0"], "--states must be at least 1, got 0"),
+        (["stats", "--max-k", "201"], "--max-k must be at most 200, got 201"),
+        (
+            ["stats", "--max-k", "100000000"],
+            "--max-k must be at most 200, got 100000000",
+        ),
     ],
 )
 def test_bad_counts_exit_2_with_one_line(argv, message, circuit_file, capsys):

@@ -80,9 +80,13 @@ def test_operator_matrix_is_bitwise_the_kron_product():
                 for l in letters:
                     m = np.kron(m, letter_matrix(l))
                 expect = PHASES[k] * m
-                got = PauliOperator(k, letters).matrix()
+                p = PauliOperator(k, letters)
+                got = p.matrix()
                 assert got.shape == expect.shape
                 assert got.tobytes() == expect.tobytes(), (k, letters)
+                # built once per operator and shared, so never writable
+                assert p.matrix() is got
+                assert not got.flags.writeable
 
 
 def test_multiply_exact_all_single_letter_pairs():
