@@ -183,8 +183,15 @@ _BOUNDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 2 with one ``error:`` line on bad usage; subparsers share it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbqcsim",
         description="Measurement-based simulation of unitary circuits.",
     )
@@ -236,8 +243,12 @@ def build_parser():
     return parser
 
 
+#: built once: building costs far more than a parse
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         for name, (low, high) in _BOUNDS.items():
             value = getattr(args, name, low)

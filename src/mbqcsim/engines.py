@@ -109,24 +109,25 @@ class RunReport:
         }
 
 
-def _report(engine, oracle, rng, records, state, checked=None, **extra):
+def _report(engine, oracle, rng, records, state, frame=None):
     """RunReport of a finished run.
 
     Gadget counts come from the records, one per gate; the fidelity
-    compares ``checked`` (the final state unless given) with
-    ``oracle``, the circuit's output computed by ``oracle_apply``.
+    compares ``oracle`` (from ``oracle_apply``) with the final state,
+    ``frame`` applied first when a frame run reports one.
     """
     total = sum(r.call_count() for r in records)
+    checked = state if frame is None else apply_pauli(frame, state)
     return RunReport(
         engine=engine,
         seed=rng.seed,
         num_qubits=oracle.num_qubits,
         total_gadget_calls=total,
         corrective_gadget_calls=total - len(records),
-        fidelity_vs_oracle=overlap(oracle, state if checked is None else checked) ** 2,
+        fidelity_vs_oracle=overlap(oracle, checked) ** 2,
         final_state=state,
         records=tuple(records),
-        **extra,
+        final_frame=frame,
     )
 
 
@@ -281,10 +282,7 @@ def run_frame(circuit, input_state, rng, finalize="apply"):
     oracle = oracle_apply(circuit, input_state)
     if finalize == "apply":
         return _report("frame", oracle, rng, records, apply_pauli(frame, state))
-    return _report(
-        "frame", oracle, rng, records, state,
-        checked=apply_pauli(frame, state), final_frame=frame,
-    )
+    return _report("frame", oracle, rng, records, state, frame)
 
 
 ENGINES = {

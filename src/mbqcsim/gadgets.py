@@ -27,17 +27,18 @@ measurement-only; the two attachments are plain Bell measurements.
 
 Each gadget is one spec: the input extended by its (cached) resource
 wires, the measurement plan, the decoding of an outcome word into the
-byproduct, and the compaction back to the data wires.  The decoding
+byproduct, and as data the ``dead`` wires ``compact`` factors out and
+the ``outputs`` the resource wires left last carry back.  The decoding
 is the one word-to-byproduct rule: engines read ``byproduct``, never
 the word.  Each gadget has 16 words, so each decoding is cached per
 word; a ``PauliOperator`` is frozen and builds its matrix once, so
 calls share the byproduct and its matrix.  Two drivers run every
 spec.  ``*_branches`` enumerates all 16 words on the register itself,
-the reference.  ``*_gadget`` samples
-one path (one draw and one built post-state per measurement) on the
-smallest purification of its k data wires, at most 2k qubits
-(``narrow``).  Its statistics and branch map depend only on the data
-wires' reduced state (gate teleportation, Gottesman & Chuang,
+the reference.  ``*_gadget`` samples one path (one draw and one built
+post-state per measurement) on the smallest purification of its k
+data wires (``narrow``; ``purify`` runs 2k qubits or fewer as they
+are).  Its statistics and branch map depend only on the data wires'
+reduced state (gate teleportation, Gottesman & Chuang,
 quant-ph/9908010): a sampled branch is the enumerated branch of the
 same word up to rounding, not bit for bit.
 """
@@ -70,9 +71,9 @@ from .numerics import (
     basis_state,
     factor_out,
     overlap,
+    permute_qubits,
     purify,
     random_state,
-    reorder_qubits,
     tensor,
 )
 from .pauli import (
@@ -99,30 +100,9 @@ class Table1Entry:
     (data wire, first ancilla).
     """
 
-    sigma_p: PauliLetter
-    n: int
     m1: SignedPauliObservable
     m2_pos: SignedPauliObservable
     m2_neg: SignedPauliObservable
-
-
-def _entry(sigma_p, n, signs):
-    s1, s2p, s2n = signs
-    return Table1Entry(
-        sigma_p=sigma_p,
-        n=n,
-        m1=SignedPauliObservable(s1, (_L.Z, _L.Z)),
-        m2_pos=SignedPauliObservable(s2p, (_L.X, _L.X)),
-        m2_neg=SignedPauliObservable(s2n, (_L.Y, _L.X)),
-    )
-
-
-def table1_lookup(sigma_p, n, table=None):
-    """Entry for (sigma_p, n); n must be a basis label 0..3."""
-    sigma_p = PauliLetter(sigma_p)
-    if n not in (0, 1, 2, 3):
-        raise ValueError(f"n must be a measurement label 0..3, got {n}")
-    return (TABLE1 if table is None else table)[(sigma_p, n)]
 
 
 def theorem1_correction(r1, r2):
@@ -154,7 +134,12 @@ def _parse_row(fields):
         if f not in ("+", "-"):
             raise ValueError(f"bad sign {f!r}")
         signs.append(+1 if f == "+" else -1)
-    return (letter, n), _entry(letter, n, tuple(signs))
+    s1, s2p, s2n = signs
+    return (letter, n), Table1Entry(
+        m1=SignedPauliObservable(s1, (_L.Z, _L.Z)),
+        m2_pos=SignedPauliObservable(s2p, (_L.X, _L.X)),
+        m2_neg=SignedPauliObservable(s2n, (_L.Y, _L.X)),
+    )
 
 
 def parse_table1(text):
@@ -219,7 +204,18 @@ class _Spec(NamedTuple):
     register: StateVector
     plan: list
     decode: Callable
-    compact: Callable
+    dead: tuple
+    outputs: tuple
+
+    def compact(self, state):
+        """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
+        reduced = factor_out(state, self.dead)
+        n = reduced.num_qubits
+        kept = [i for i in range(n) if i not in self.outputs] + list(self.outputs)
+        if kept == sorted(kept):
+            return reduced
+        amps = permute_qubits(reduced.amplitudes, kept, inverse=True)
+        return StateVector(n, amps.reshape(-1))
 
 
 def _check_wires(s, wires):
@@ -229,14 +225,9 @@ def _check_wires(s, wires):
 
 
 def narrow(s, wires):
-    """(state, wires, lift) a sampled gadget on ``wires`` runs on: a
-    register of 2k qubits or fewer is its own smallest purification,
-    a wider one runs on ``purify``'s.  Bad wires raise ValueError first."""
+    """Check ``wires``, then ``purify``: the (state, wires, lift) a gadget runs on."""
     _check_wires(s, wires)
-    if s.num_qubits <= 2 * len(wires):
-        return s, wires, lambda p: p
-    state, lift = purify(s, wires)
-    return state, tuple(range(len(wires), state.num_qubits)), lift
+    return purify(s, wires)
 
 
 def _sample(spec_of, s, wires, rng):
@@ -269,23 +260,16 @@ def _cnot_wires():
     return apply_unitary(CNOT_MATRIX, tensor(epr_state(), epr_state()), (1, 2))
 
 
-def _compact(state, dead, outputs, num_qubits):
-    """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
-    reduced = factor_out(state, dead)
-    kept = [i for i in range(num_qubits) if i not in outputs] + list(outputs)
-    if kept == sorted(kept):
-        return reduced
-    return reorder_qubits(reduced, [kept.index(f) for f in range(num_qubits)])
-
-
-def _one_wire_spec(s, q, plan, decode):
-    """Spec of a one-qubit or T call; ``plan(a1, a2)`` lists its measurements."""
+def _one_wire_spec(s, q, basis, second, decode):
+    """Spec of a one-qubit or T call: ``basis`` on (a1, a2), then each
+    measurement of ``second`` on (q, a1)."""
     n = s.num_qubits
     return _Spec(
         tensor(s, _three_wires()),
-        plan(n, n + 1),
+        [((n, n + 1), basis), *(((q, n), m) for m in second)],
         decode,
-        lambda state: _compact(state, [q, n, n + 2], (q,), n),
+        (q, n, n + 2),
+        (q,),
     )
 
 
@@ -298,12 +282,7 @@ def _one_qubit_byproduct(word):
 
 def _one_qubit_spec(u, s, q):
     # u_basis rejects a u that is not unitary, once per distinct matrix
-    return _one_wire_spec(
-        s,
-        q,
-        lambda a1, a2: [((a1, a2), u_basis(u)), ((q, a1), BELL_BASIS)],
-        _one_qubit_byproduct,
-    )
+    return _one_wire_spec(s, q, u_basis(u), (BELL_BASIS,), _one_qubit_byproduct)
 
 
 def one_qubit_gadget(u, s, q, rng):
@@ -324,22 +303,20 @@ def one_qubit_branches(u, s, q):
 def _t_spec(sigma_p, table, s, q):
     """Adaptive plan for the adapted T gadget.
 
-    M1/M2 are looked up from the table by (sigma_p, outcome n); their
+    M1/M2 are read from the table's row (sigma_p, outcome n); their
     first letter lands on the data wire q, second on a1.
     """
     sigma_p = PauliLetter(sigma_p)
+    table = TABLE1 if table is None else table
 
     def m1(word):
-        return table1_lookup(sigma_p, word[0], table).m1
+        return table[(sigma_p, word[0])].m1
 
     def m2(word):
-        entry = table1_lookup(sigma_p, word[0], table)
+        entry = table[(sigma_p, word[0])]
         return entry.m2_pos if word[1] > 0 else entry.m2_neg
 
-    def plan(a1, a2):
-        return [((a1, a2), u_basis(T_MATRIX)), ((q, a1), m1), ((q, a1), m2)]
-
-    return _one_wire_spec(s, q, plan, _t_byproduct)
+    return _one_wire_spec(s, q, u_basis(T_MATRIX), (m1, m2), _t_byproduct)
 
 
 @lru_cache(maxsize=16)  # one entry per outcome word
@@ -381,9 +358,8 @@ def _cnot_spec(s, control, target):
         tensor(s, _cnot_wires()),
         [((control, n), BELL_BASIS), ((target, n + 3), BELL_BASIS)],
         _cnot_byproduct,
-        lambda state: _compact(
-            state, [control, target, n, n + 3], (control, target), n
-        ),
+        (control, target, n, n + 3),
+        (control, target),
     )
 
 

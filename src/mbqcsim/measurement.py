@@ -99,9 +99,9 @@ class RandomSource:
         total = 0.0
         for p in probabilities:
             total += p
-        if total < PRUNE_TOL:
+        if not PRUNE_TOL <= total < np.inf:
             raise ValueError(
-                "all outcome probabilities vanish; state is corrupted"
+                f"outcome probabilities vanish or are not finite: total {total!r}"
             )
         u = self.gen.random() * total
         acc = 0.0
@@ -134,7 +134,7 @@ class BasisMeasurement:
         stacked = np.array([v.amplitudes for v in vectors])
         rows = stacked.conj()
         gram = rows @ stacked.T
-        if np.max(np.abs(gram - np.eye(4))) > 1e-9:
+        if not np.max(np.abs(gram - np.eye(4))) <= 1e-9:
             raise ValueError("basis vectors are not orthonormal")
         rows.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)

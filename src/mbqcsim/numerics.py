@@ -20,6 +20,10 @@ of length 1 sends numpy down another loop that rounds differently.
 forwards to.  Results are bit for bit those of the plain formulas;
 ``factor_out``'s leak residual, a check that gates but never enters a
 result, is one ``vdot``.
+
+``permute_qubits`` is the one wire permutation; ``purify`` alone
+decides whether a register is small enough to run as it is.  A
+tolerance check reads ``not x <= tol``, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ class StateVector:
         normalize: rescale to unit norm instead of requiring it.
 
     Raises:
-        ValueError: wrong length, or norm not 1 within ``STATE_TOL``
-            (when ``normalize`` is false), or zero vector.
+        ValueError: wrong length, a norm that is not finite, a norm not
+            1 within ``STATE_TOL`` (when ``normalize`` is false), or zero.
     """
 
     __slots__ = ("num_qubits", "amplitudes")
@@ -66,11 +70,13 @@ class StateVector:
         # np.linalg.norm's own formula for complex vectors, minus its overhead
         re, im = amps.real, amps.imag
         nrm = math.sqrt(re.dot(re) + im.dot(im))
+        if not math.isfinite(nrm):
+            raise ValueError(f"state vector norm is not finite: {nrm!r}")
         if normalize:
-            if nrm < 1e-12:
+            if not nrm >= 1e-12:
                 raise ValueError("cannot normalize a zero vector")
             amps = amps / nrm
-        elif abs(nrm - 1.0) > STATE_TOL:
+        elif not abs(nrm - 1.0) <= STATE_TOL:
             raise ValueError(f"state vector is not normalized: norm = {nrm!r}")
         # shared freely (basis caches hand out the same instance), so
         # the buffer must not be writable through this handle
@@ -185,17 +191,9 @@ def require_unitary(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
-
-
-def reorder_qubits(s, perm):
-    """Permute qubit wires: new qubit i is old qubit ``perm[i]``."""
-    n = s.num_qubits
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-    return StateVector(n, permute_qubits(s.amplitudes, perm).reshape(-1))
 
 
 def factor_out(s, dead):
@@ -212,13 +210,13 @@ def factor_out(s, dead):
     mat = permute_qubits(s.amplitudes, dead + keep).reshape(2 ** len(dead), -1)
     norms2 = np.einsum("ij,ij->i", mat, mat.conj()).real
     row = int(np.argmax(norms2))
-    if norms2[row] < 1e-12:
+    if not norms2[row] >= 1e-12:
         raise ValueError("cannot factor out qubits from a zero vector")
     live = mat[row] / np.sqrt(norms2[row])
     coeffs = mat @ live.conj()
     diff = mat - coeffs[:, None] * live[None, :]
     residual = math.sqrt(np.vdot(diff, diff).real)
-    if residual > STATE_TOL:
+    if not residual <= STATE_TOL:
         raise ValueError(
             f"qubits {dead} remain entangled with the register "
             f"(rank-1 residual {residual:.3e})"
@@ -248,26 +246,26 @@ def _cholesky(gram):
 
 
 def purify(s, wires):
-    """The smallest purification of ``wires``: (state, lift).  With the
-    k wires moved last, their 2^k x 2^(n-k) amplitude block is M = L R,
-    L L^dagger = M M^dagger, R's rows orthonormal or zero where a pivot
-    vanishes (L = M if 2^(n-k) <= 2^k).  ``state`` is L on log2(min(2^k,
-    2^(n-k))) reference wires, then the wires; ``lift`` maps a post-state
-    P of it back as P R.  What acts on the wires alone sees only M M^dagger."""
+    """The smallest purification of ``wires``: (state, wires, lift).  A
+    register of 2k qubits or fewer is its own, with its wires and the
+    identity lift.  A wider one, with the k wires moved last, has a 2^k x
+    2^(n-k) amplitude block M = L R, L L^dagger = M M^dagger, R's rows
+    orthonormal or zero where a pivot vanishes: ``state`` is L on k
+    reference wires, then the wires, and ``lift`` maps a post-state P of
+    it back as P R.  What acts on the wires alone sees only M M^dagger."""
     n, k = s.num_qubits, len(wires)
+    if n <= 2 * k:
+        return s, wires, lambda p: p
     order = [*(i for i in range(n) if i not in wires), *wires]
     m = permute_qubits(s.amplitudes, order).reshape(-1, 2**k)  # M^T
-    if len(m) <= 2**k:
-        low_t, right_t = m, np.eye(len(m))
-    else:
-        low, inv = _cholesky((m.T @ m.conj()).tolist())
-        low_t, right_t = low.T, m @ inv.T
+    low, inv = _cholesky((m.T @ m.conj()).tolist())
+    right_t = m @ inv.T
 
     def lift(p):
-        out = right_t @ p.amplitudes.reshape(low_t.shape)
+        out = right_t @ p.amplitudes.reshape(-1, 2**k)
         return StateVector(n, permute_qubits(out, order, inverse=True).reshape(-1))
 
-    return StateVector((low_t.size - 1).bit_length(), low_t.reshape(-1)), lift
+    return StateVector(2 * k, low.T.reshape(-1)), tuple(range(k, 2 * k)), lift
 
 
 def random_state(num_qubits, gen):

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +443,46 @@ def test_module_entry_point(tmp_path):
 def test_unknown_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--circuit", "-", "--trials", "abc"],
+     "argument --trials: invalid int value: 'abc'"),
+    (["simulate", "--circuit", "-", "--engine", "foo"],
+     "argument --engine: invalid choice: 'foo'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["simulate"], "the following arguments are required: --circuit"),
+], ids=["trials", "engine", "subcommand", "circuit"])
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process: a failed parse must leave
+    # nothing behind for the runs after it
+    from mbqcsim import cli
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    golden = Path(__file__).resolve().parent / "golden"
+    with pytest.raises(SystemExit):
+        main(["simulate", "--circuit", "-", "--trials", "abc"])
+    capsys.readouterr()
+    runs = {
+        "simulate-frame-report.out": [
+            "simulate", "--circuit", str(golden / "narrow.mbqc"), "--engine",
+            "frame", "--finalize", "report", "--input", "random", "--trials", "2",
+            "--seed", "11"],
+        "stats.out": ["stats", "--trials", "200", "--seed", "14"],
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (golden / name).read_text(encoding="utf-8")

@@ -18,7 +18,6 @@ from mbqcsim.gadgets import (
     one_qubit_branches,
     one_qubit_gadget,
     parse_table1,
-    table1_lookup,
     theorem1_correction,
     verify_table1,
 )
@@ -82,7 +81,7 @@ TABLE_TEXT = resources.files("mbqcsim").joinpath("data/table1.txt").read_text(
 
 def test_table_signs_frozen():
     for (p, n), (s1, s2p, s2n) in TABLE_SIGNS.items():
-        e = table1_lookup(p, n)
+        e = TABLE1[(p, n)]
         assert (e.m1.sign, e.m2_pos.sign, e.m2_neg.sign) == (s1, s2p, s2n), (
             p,
             n,
@@ -102,16 +101,11 @@ def test_table_satisfies_commutation_sign_law():
     # pins all 48 entries at once
     for p in LETTERS:
         for n in range(4):
-            e = table1_lookup(p, n)
+            e = TABLE1[(p, n)]
             ln = L(n)
             assert e.m1.sign == commute_sign(ln, L.Z) * commute_sign(p, L.Z)
             assert e.m2_pos.sign == commute_sign(ln, L.X) * commute_sign(p, L.X)
             assert e.m2_neg.sign == -commute_sign(ln, L.X) * commute_sign(p, L.Y)
-
-
-def test_table1_lookup_validates_label():
-    with pytest.raises(ValueError, match="0..3"):
-        table1_lookup(L.I, 4)
 
 
 def test_theorem1_correction_map():
@@ -238,6 +232,18 @@ def test_one_qubit_gadget_requires_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         one_qubit_gadget(
             np.array([[1, 1], [0, 1]], dtype=complex),
+            random_state(1, np.random.default_rng(0)),
+            0,
+            RandomSource(0),
+        )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_qubit_gadget_rejects_a_nan_matrix():
+    # it used to give an all-NaN post-state with transcript (3, 3)
+    with pytest.raises(ValueError, match="not unitary"):
+        one_qubit_gadget(
+            np.array([[np.nan, 0], [0, 1]], dtype=complex),
             random_state(1, np.random.default_rng(0)),
             0,
             RandomSource(0),

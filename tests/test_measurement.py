@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ def test_choose_rejects_vanishing_weights():
         RandomSource(0).choose([0.0, 1e-14])
 
 
+def test_choose_rejects_non_finite_weights():
+    # a NaN total used to draw the last index
+    for weights in ([np.nan, 0.5], [np.inf, 1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="not finite"):
+            RandomSource(0).choose(weights)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         RandomSource(-1)
@@ -161,6 +169,15 @@ def test_basis_measurement_rejects_non_orthonormal():
     v = epr_state()
     with pytest.raises(ValueError, match="orthonormal"):
         BasisMeasurement((v, v, v, v))
+
+
+def test_basis_measurement_gram_check_rejects_nan():
+    # vectors that skip StateVector's checks, as corrupt ones would
+    vectors = [SimpleNamespace(num_qubits=2, amplitudes=v.amplitudes)
+               for v in BELL_BASIS.vectors]
+    vectors[3] = SimpleNamespace(num_qubits=2, amplitudes=np.full(4, np.nan + 0j))
+    with pytest.raises(ValueError, match="orthonormal"):
+        BasisMeasurement(tuple(vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """State-vector core: construction, gate application, factoring."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from mbqcsim.numerics import (
     permute_qubits,
     purify,
     random_state,
-    reorder_qubits,
     require_unitary,
     tensor,
 )
@@ -51,6 +52,21 @@ def test_state_vector_normalize_flag():
     assert np.isclose(np.linalg.norm(s.amplitudes), 1.0)
     with pytest.raises(ValueError, match="zero vector"):
         StateVector(1, np.zeros(2, dtype=complex), normalize=True)
+
+
+def test_state_vector_norm_check_rejects_nan():
+    for amps in ([np.nan, 0], [np.inf, 0], [1, np.nan]):
+        with pytest.raises(ValueError, match="not finite"):
+            StateVector(1, np.array(amps, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_state_vector_normalize_check_rejects_non_finite():
+    # inf / inf used to slip through as [nan, 0], and an overflowing
+    # norm turned 1e200 into a zero vector
+    for amps in ([np.inf, 0], [np.nan, 1], [1e200, 0]):
+        with pytest.raises(ValueError, match="not finite"):
+            StateVector(1, np.array(amps, dtype=complex), normalize=True)
 
 
 def test_state_vector_immutable():
@@ -137,25 +153,11 @@ def test_require_unitary():
         require_unitary(np.ones((2, 3)))
 
 
-def test_reorder_qubits_semantics():
-    # new wire i carries old wire perm[i]
-    s = tensor(basis_state("0"), tensor(basis_state("1"), basis_state("0")))
-    out = reorder_qubits(s, [1, 0, 2])
-    assert np.array_equal(out.amplitudes, basis_state("100").amplitudes)
-
-
-def test_reorder_qubits_round_trip():
-    gen = np.random.default_rng(5)
-    s = random_state(4, gen)
-    perm = list(gen.permutation(4))
-    inverse = list(np.argsort(perm))
-    back = reorder_qubits(reorder_qubits(s, perm), inverse)
-    assert np.allclose(back.amplitudes, s.amplitudes)
-
-
-def test_reorder_qubits_validates_perm():
-    with pytest.raises(ValueError, match="permutation"):
-        reorder_qubits(basis_state("00"), [0, 0])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_require_unitary_rejects_nan():
+    for bad in ([[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(np.array(bad, dtype=complex))
 
 
 def test_factor_out_product_state():
@@ -185,13 +187,36 @@ def test_purify_keeps_the_wires_reduced_state_and_lifts_back(n, wires):
     k = len(wires)
     # a random state, and a basis state whose Gram matrix has vanishing pivots
     for s in (random_state(n, np.random.default_rng(n)), basis_state(("01" * n)[:n])):
-        small, lift = purify(s, wires)
+        small, data, lift = purify(s, wires)
         # the smallest purification: k + log2(min(2^k, 2^(n - k))) qubits
         assert small.num_qubits == k + min(k, n - k)
-        data = tuple(range(small.num_qubits - k, small.num_qubits))
+        if n <= 2 * k:
+            # already that small: the register itself, its wires, no lift
+            assert small is s and data == wires
+            assert lift(small) is small
+        else:
+            assert data == tuple(range(k, 2 * k))
         assert np.allclose(_reduced(small, data), _reduced(s, wires), atol=1e-12)
         # the untouched purification lifts back to the register itself
         assert np.allclose(lift(small).amplitudes, s.amplitudes, atol=1e-12)
+
+
+def _raw(amps):
+    """A register that skips StateVector's checks, as a corrupt one would."""
+    amps = np.array(amps, dtype=complex)
+    return SimpleNamespace(num_qubits=int(np.log2(amps.size)), amplitudes=amps)
+
+
+def test_factor_out_zero_row_check_rejects_nan():
+    with pytest.raises(ValueError, match="zero vector"):
+        factor_out(_raw([1, 0, 0, np.nan]), [0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_factor_out_residual_check_rejects_nan():
+    # the kept row is inf / inf = NaN, so the residual is NaN
+    with pytest.raises(ValueError, match="entangled"):
+        factor_out(_raw([np.inf, 0, 0, 0]), [0])
 
 
 def test_factor_out_rejects_entanglement():
