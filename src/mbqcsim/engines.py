@@ -22,7 +22,7 @@ the engines differ only in what they do with it:
 
 The frame's i^k phase component is bookkeeping only: states are
 compared up to global phase throughout, and outcome reinterpretation
-reads just the letters.
+reads just the frame's ``x`` mask.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ def run_frame(circuit, input_state, rng, finalize="apply"):
             )
         else:  # T: Gate admits no other kind
             q = gate.qubits[0]
-            out = adapted_t_gadget(state, q, frame.letters[q], rng)
-            frame = frame.with_letter(q, out.byproduct.letters[0])
+            out = adapted_t_gadget(state, q, frame.letter(q), rng)
+            frame = frame.with_letter(q, out.byproduct.letter(0))
         state = out.post_state
         records.append(GateRecord(gate, (out.transcript,)))
     oracle = oracle_apply(circuit, input_state)
@@ -301,19 +301,18 @@ ENGINE_NAMES = tuple(ENGINES)
 def reinterpret_outcomes(frame, bits):
     """Correct computational-basis outcomes measured under a frame.
 
-    A frame letter X or Y flips the measured bit on that wire; I and Z
-    leave it alone.  Exact, no state manipulation involved.
+    A frame letter X or Y (a set bit of ``frame.x``) flips the measured
+    bit on that wire; I and Z leave it alone.  Exact, no state
+    manipulation involved.
     """
     bits = tuple(bits)
     if len(bits) != frame.num_qubits:
         raise ValueError(
             f"got {len(bits)} bits for {frame.num_qubits} qubit(s)"
         )
-    if any(b not in (0, 1) for b in bits):
+    if any(not isinstance(b, (int, np.integer)) or b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-    return tuple(
-        b ^ 1 if l in (_L.X, _L.Y) else b for b, l in zip(bits, frame.letters)
-    )
+    return tuple(b ^ (frame.x >> q & 1) for q, b in enumerate(bits))
 
 
 def reinterpret_distribution(frame, dist):

@@ -276,8 +276,8 @@ def _one_wire_spec(s, q, basis, second, decode):
 @lru_cache(maxsize=16)  # one entry per outcome word
 def _one_qubit_byproduct(word):
     """sigma_n sigma_m of the word (n, m); a frozen operator, so shared."""
-    n_lbl, m_lbl = word
-    return multiply(PauliOperator(0, (_L(n_lbl),)), PauliOperator(0, (_L(m_lbl),)))
+    sigma_n, sigma_m = (PauliOperator.from_letters(0, [l]) for l in word)
+    return multiply(sigma_n, sigma_m)
 
 
 def _one_qubit_spec(u, s, q):
@@ -323,7 +323,7 @@ def _t_spec(sigma_p, table, s, q):
 def _t_byproduct(word):
     """C_T of the word (n, r1, r2); a frozen operator, so shared."""
     n_lbl, r1, r2 = word
-    return PauliOperator(0, (theorem1_correction(r1, r2),))
+    return PauliOperator.from_letters(0, [theorem1_correction(r1, r2)])
 
 
 def adapted_t_gadget(s, q, sigma_p, rng):
@@ -347,8 +347,7 @@ def adapted_t_branches(s, q, sigma_p, table=None):
 def _cnot_byproduct(word):
     """The output-side image of the word's corrections, which enter
     before the CNOT as sigma_n (x) sigma_m; frozen, so shared."""
-    n_lbl, m_lbl = word
-    return conjugate_through_CNOT(PauliOperator(0, (_L(n_lbl), _L(m_lbl))), 0, 1)
+    return conjugate_through_CNOT(PauliOperator.from_letters(0, word), 0, 1)
 
 
 def _cnot_spec(s, control, target):

@@ -1,9 +1,20 @@
 """Pauli operators with exact phase bookkeeping.
 
-Operators are words of single-qubit letters {I, X, Y, Z} times a
-phase i^k, k in {0, 1, 2, 3}.  All products and Clifford conjugations
-here are exact integer bookkeeping; no floating tolerance is needed
-until a matrix is materialized.
+An operator is i^k times a word of letters {I, X, Y, Z}, held as two
+bit masks as in the CHP tableau (Aaronson & Gottesman,
+quant-ph/0406196).  Bit q of ``x`` and ``z`` belongs to qubit q, whose
+letter is i^(x_q z_q) X^x_q Z^z_q: X = (1, 0), Y = (1, 1), Z = (0, 1).
+With |m| the number of set bits of m, and every exponent mod 4:
+
+* ``multiply``: x = x1 ^ x2, z = z1 ^ z2 and k = k1 + k2 + |x1 & z1|
+  + |x2 & z2| + 2 |z1 & x2| - |x & z| (each Z part moves past the
+  next X part, then the word regroups qubit by qubit);
+* H on q swaps bit q of x and z, and adds 2 when both were set (HYH = -Y);
+* CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t.  X parts map to X parts
+  and Z parts to Z parts, in order, so k gains |x & z| before minus after.
+
+All of it is exact integer bookkeeping; no floating tolerance is
+needed until a matrix is materialized.
 """
 
 from __future__ import annotations
@@ -40,22 +51,11 @@ _LETTER_MATRICES = {
     _L.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: the letter of the bits (x_q, z_q), at index x_q | z_q << 1
+_LETTER_OF_BITS = (_L.I, _L.X, _L.Z, _L.Y)
+
 #: i^k for k = 0..3, exact
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-def _letter_product(a, b):
-    """Single-letter product a b as (letter, phase exponent delta).
-
-    Under I, X, Y, Z = 0..3 the letter is ``a ^ b``.  Two distinct
-    non-identity letters pick up +i in the cyclic order X -> Y -> Z -> X
-    (XY = iZ, YZ = iX, ZX = iY) and -i against it.
-    """
-    if a and b and a != b:
-        return _L(a ^ b), 1 if (b - a) % 3 == 1 else 3
-    return _L(a ^ b), 0
-
-
-_MUL = {(a, b): _letter_product(a, b) for a in _L for b in _L}
 
 
 def letter_matrix(letter):
@@ -65,36 +65,55 @@ def letter_matrix(letter):
 
 @dataclass(frozen=True)
 class PauliOperator:
-    """i^phase_exp times a tensor word of letters, one per qubit."""
+    """i^phase_exp times a word, held as the module docstring lays out."""
 
     phase_exp: int
-    letters: tuple
+    num_qubits: int
+    x: int
+    z: int
 
     def __post_init__(self):
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-        object.__setattr__(
-            self, "letters", tuple(PauliLetter(l) for l in self.letters)
-        )
+        if self.num_qubits < 0 or (self.x | self.z) >> self.num_qubits:
+            raise ValueError(f"x and z masks do not fit {self.num_qubits} qubit(s)")
+
+    @classmethod
+    def from_letters(cls, phase_exp, letters):
+        """i^phase_exp times the word ``letters``, letter q on qubit q."""
+        x = z = 0
+        for q, l in enumerate(letters):
+            b = _LETTER_OF_BITS.index(PauliLetter(l))
+            x |= (b & 1) << q
+            z |= (b >> 1) << q
+        return cls(phase_exp, len(letters), x, z)
 
     @classmethod
     def identity(cls, num_qubits):
-        return cls(0, (_L.I,) * num_qubits)
+        return cls(0, num_qubits, 0, 0)
+
+    @cached_property
+    def letters(self):
+        """The word as a tuple of ``PauliLetter``, qubit 0 first."""
+        return tuple(self.letter(q) for q in range(self.num_qubits))
+
+    def letter(self, qubit):
+        """The ``PauliLetter`` on one qubit."""
+        _check_targets(self.num_qubits, [qubit])
+        return _LETTER_OF_BITS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
     def embedded(self, num_qubits, wires):
         """This operator on ``wires`` of a wider register, identity
         elsewhere: letter i lands on ``wires[i]``, the phase is kept."""
-        letters = [_L.I] * num_qubits
-        for w, l in zip(_check_targets(num_qubits, wires), self.letters, strict=True):
-            letters[w] = l
-        return PauliOperator(self.phase_exp, tuple(letters))
-
-    @property
-    def num_qubits(self):
-        return len(self.letters)
+        x = z = 0
+        wires = _check_targets(num_qubits, wires)
+        for i, w in zip(range(self.num_qubits), wires, strict=True):
+            x |= (self.x >> i & 1) << w
+            z |= (self.z >> i & 1) << w
+        return PauliOperator(self.phase_exp, num_qubits, x, z)
 
     def is_identity_word(self):
         """True when every letter is I (phase ignored)."""
-        return all(l is _L.I for l in self.letters)
+        return not (self.x | self.z)
 
     def matrix(self):
         """Read-only matrix of the operator, built once and shared."""
@@ -112,9 +131,11 @@ class PauliOperator:
         return m
 
     def with_letter(self, qubit, letter):
-        letters = list(self.letters)
-        letters[qubit] = PauliLetter(letter)
-        return PauliOperator(self.phase_exp, tuple(letters))
+        """This operator with ``letter`` on ``qubit``, the phase kept."""
+        one = PauliOperator.from_letters(0, [letter]).embedded(self.num_qubits, [qubit])
+        keep = ~(1 << qubit)
+        x, z = self.x & keep | one.x, self.z & keep | one.z
+        return PauliOperator(self.phase_exp, self.num_qubits, x, z)
 
     def __str__(self):
         """Text form like ``i^1 . X(x)I(x)Z`` (with real tensor glyphs)."""
@@ -126,70 +147,35 @@ def _render_letters(letters):
 
 
 def multiply(p, q):
-    """Exact product of two operators on the same register."""
+    """Exact product p q of two operators on the same register."""
     if p.num_qubits != q.num_qubits:
         raise ValueError(
             f"qubit count mismatch: {p.num_qubits} vs {q.num_qubits}"
         )
-    phase = p.phase_exp + q.phase_exp
-    letters = []
-    for a, b in zip(p.letters, q.letters):
-        c, d = _MUL[(a, b)]
-        letters.append(c)
-        phase += d
-    return PauliOperator(phase, tuple(letters))
-
-
-# H sigma H: X <-> Z, Y -> -Y.
-_H_IMAGE = {
-    _L.I: (_L.I, 0),
-    _L.X: (_L.Z, 0),
-    _L.Y: (_L.Y, 2),
-    _L.Z: (_L.X, 0),
-}
+    x, z = p.x ^ q.x, p.z ^ q.z
+    k = (
+        p.phase_exp + q.phase_exp + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+        + 2 * (p.z & q.x).bit_count() - (x & z).bit_count()
+    )
+    return PauliOperator(k, p.num_qubits, x, z)
 
 
 def conjugate_through_H(p, qubit):
-    """H_q p H_q as exact letter bookkeeping."""
+    """H_q p H_q: swap bit q of x and z; H Y H = -Y."""
     _check_targets(p.num_qubits, [qubit])
-    new, delta = _H_IMAGE[p.letters[qubit]]
-    return PauliOperator(
-        p.phase_exp + delta,
-        tuple(new if i == qubit else l for i, l in enumerate(p.letters)),
-    )
-
-
-# CNOT conjugation images of the generator letters, written as the
-# exact 2-letter word (control slot, target slot); all are phase free.
-_CNOT_CONTROL_IMAGE = {
-    _L.I: (_L.I, _L.I),
-    _L.X: (_L.X, _L.X),
-    _L.Y: (_L.Y, _L.X),
-    _L.Z: (_L.Z, _L.I),
-}
-_CNOT_TARGET_IMAGE = {
-    _L.I: (_L.I, _L.I),
-    _L.X: (_L.I, _L.X),
-    _L.Y: (_L.Z, _L.Y),
-    _L.Z: (_L.Z, _L.Z),
-}
+    b = 1 << qubit
+    swap = (p.x ^ p.z) & b
+    k = p.phase_exp + 2 * (p.x & p.z & b).bit_count()
+    return PauliOperator(k, p.num_qubits, p.x ^ swap, p.z ^ swap)
 
 
 def conjugate_through_CNOT(p, control, target):
-    """CNOT p CNOT with control/target at the given qubits, exact.
-
-    Split the 2-qubit part as (L_c (x) I)(I (x) L_t), push each factor
-    through (the generator images above are phase free), and multiply
-    the images back together; any phase comes from that product.
-    """
+    """CNOT p CNOT with control/target at the given qubits, exact."""
     _check_targets(p.num_qubits, [control, target])
-    img_c = PauliOperator(0, _CNOT_CONTROL_IMAGE[p.letters[control]])
-    img_t = PauliOperator(0, _CNOT_TARGET_IMAGE[p.letters[target]])
-    combined = multiply(img_c, img_t)
-    letters = list(p.letters)
-    letters[control] = combined.letters[0]
-    letters[target] = combined.letters[1]
-    return PauliOperator(p.phase_exp + combined.phase_exp, tuple(letters))
+    x = p.x ^ (p.x >> control & 1) << target
+    z = p.z ^ (p.z >> target & 1) << control
+    k = p.phase_exp + (p.x & p.z).bit_count() - (x & z).bit_count()
+    return PauliOperator(k, p.num_qubits, x, z)
 
 
 @dataclass(frozen=True)

@@ -133,14 +133,14 @@ def test_criterion_3_clifford_conjugation_and_t_witness():
     failures = []
     for letter in LETTERS:
         for k in range(4):
-            p = PauliOperator(k, (letter,))
+            p = PauliOperator.from_letters(k, (letter,))
             oracle = H_MATRIX @ p.matrix() @ H_MATRIX.conj().T
             if np.max(np.abs(conjugate_through_H(p, 0).matrix() - oracle)) > 1e-12:
                 failures.append(("H", p))
     for a in LETTERS:
         for b in LETTERS:
             for k in range(4):
-                p = PauliOperator(k, (a, b))
+                p = PauliOperator.from_letters(k, (a, b))
                 oracle = CNOT_MATRIX @ p.matrix() @ CNOT_MATRIX.conj().T
                 image = conjugate_through_CNOT(p, 0, 1).matrix()
                 if np.max(np.abs(image - oracle)) > 1e-12:
@@ -288,7 +288,7 @@ def test_criterion_8_reinterpretation_equivalence():
     exact = True
     for n in (1, 2, 3):
         for word in itertools.product(LETTERS, repeat=n):
-            frame = PauliOperator(0, word)
+            frame = PauliOperator.from_letters(0, word)
             state = random_state(n, gen)
             corrected = np.abs(apply_pauli(frame, state).amplitudes) ** 2
             relabeled = reinterpret_distribution(

@@ -215,7 +215,8 @@ def test_retry_limit_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     from mbqcsim import engines
 
     def never_clean(u, s, q, rng):
-        return GadgetOutcome(s, PauliOperator(0, (PauliLetter.X,)), (0, 1), 1 / 16)
+        x = PauliOperator.from_letters(0, (PauliLetter.X,))
+        return GadgetOutcome(s, x, (0, 1), 1 / 16)
 
     monkeypatch.setattr(engines, "one_qubit_gadget", never_clean)
     path = tmp_path / "h.mbqc"

@@ -70,7 +70,7 @@ def test_one_qubit_loop_is_bounded(monkeypatch):
     def never_clean(u, s, q, rng):
         calls.append(q)
         word = (len(calls) % 4, (len(calls) + 1) % 4)
-        return GadgetOutcome(s, PauliOperator(0, (L.X,)), word, 1 / 16)
+        return GadgetOutcome(s, PauliOperator.from_letters(0, (L.X,)), word, 1 / 16)
 
     monkeypatch.setattr(engines, "one_qubit_gadget", never_clean)
     with pytest.raises(RetryLimitExceeded, match="no clean outcome in 200"):
@@ -303,28 +303,31 @@ def test_report_json_shape():
 
 
 def test_reinterpret_outcomes_flip_rule():
-    frame = PauliOperator(0, (L.X, L.I, L.Y, L.Z))
+    frame = PauliOperator.from_letters(0, (L.X, L.I, L.Y, L.Z))
     assert reinterpret_outcomes(frame, (0, 0, 0, 0)) == (1, 0, 1, 0)
     assert reinterpret_outcomes(frame, (1, 1, 1, 1)) == (0, 1, 0, 1)
 
 
 def test_reinterpret_outcomes_validation():
-    frame = PauliOperator.identity(2)
+    frame = PauliOperator.from_letters(0, (L.X, L.I))
     with pytest.raises(ValueError, match="2 qubit"):
         reinterpret_outcomes(frame, (0,))
-    with pytest.raises(ValueError, match="0 or 1"):
-        reinterpret_outcomes(frame, (0, 2))
+    for bits in ((0, 2), (1.0, 0)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            reinterpret_outcomes(frame, bits)
+    # numpy integers are ints too
+    assert reinterpret_outcomes(frame, (np.int64(1), np.int64(1))) == (0, 1)
 
 
 def test_reinterpret_distribution_permutes_by_flipmask():
     # X on qubit 0 of two: flipmask 10, so halves swap
-    frame = PauliOperator(0, (L.X, L.I))
+    frame = PauliOperator.from_letters(0, (L.X, L.I))
     dist = np.array([0.1, 0.2, 0.3, 0.4])
     assert np.array_equal(
         reinterpret_distribution(frame, dist), [0.3, 0.4, 0.1, 0.2]
     )
     # Z never flips
-    z_frame = PauliOperator(0, (L.Z, L.Z))
+    z_frame = PauliOperator.from_letters(0, (L.Z, L.Z))
     assert np.array_equal(reinterpret_distribution(z_frame, dist), dist)
 
 
@@ -339,7 +342,7 @@ def test_reinterpretation_equals_applying_the_frame():
     gen = np.random.default_rng(64)
     for _ in range(10):
         letters = tuple(L(int(i)) for i in gen.integers(0, 4, size=2))
-        frame = PauliOperator(int(gen.integers(0, 4)), letters)
+        frame = PauliOperator.from_letters(int(gen.integers(0, 4)), letters)
         s = random_state(2, gen)
         corrected = np.abs(apply_pauli(frame, s).amplitudes) ** 2
         relabeled = reinterpret_distribution(frame, np.abs(s.amplitudes) ** 2)
@@ -362,7 +365,7 @@ def test_reinterpreting_a_frame_run_equals_applying_its_frame(c, seed):
 
 def test_reinterpreted_outcome_indexing_is_consistent():
     # flipping bits of the outcome tuple lands on the permuted index
-    frame = PauliOperator(0, (L.Y, L.I, L.X))
+    frame = PauliOperator.from_letters(0, (L.Y, L.I, L.X))
     for idx in range(8):
         bits = tuple((idx >> (2 - q)) & 1 for q in range(3))
         new_bits = reinterpret_outcomes(frame, bits)

@@ -193,7 +193,8 @@ def test_one_qubit_branch_states_match_byproduct_law():
         for b in one_qubit_branches(u, s, 0):
             n, m = b.transcript
             assert b.byproduct == multiply(
-                PauliOperator(0, (L(n),)), PauliOperator(0, (L(m),))
+                PauliOperator.from_letters(0, (L(n),)),
+                PauliOperator.from_letters(0, (L(m),)),
             )
             expect = StateVector(
                 1,

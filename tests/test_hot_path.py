@@ -196,17 +196,24 @@ def test_cached_decoders_equal_a_fresh_decode():
         (
             _one_qubit_byproduct,
             pairs,
-            lambda n, m: multiply(PauliOperator(0, (L(n),)), PauliOperator(0, (L(m),))),
+            lambda n, m: multiply(
+                PauliOperator.from_letters(0, (L(n),)),
+                PauliOperator.from_letters(0, (L(m),)),
+            ),
         ),
         (
             _cnot_byproduct,
             pairs,
-            lambda n, m: conjugate_through_CNOT(PauliOperator(0, (L(n), L(m))), 0, 1),
+            lambda n, m: conjugate_through_CNOT(
+                PauliOperator.from_letters(0, (L(n), L(m))), 0, 1
+            ),
         ),
         (
             _t_byproduct,
             triples,
-            lambda n, r1, r2: PauliOperator(0, (theorem1_correction(r1, r2),)),
+            lambda n, r1, r2: PauliOperator.from_letters(
+                0, (theorem1_correction(r1, r2),)
+            ),
         ),
     ]
     for decode, words, fresh in cases:

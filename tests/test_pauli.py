@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbqcsim.circuit import CNOT_MATRIX, H_MATRIX, T_MATRIX
 from mbqcsim.numerics import basis_state, random_state
@@ -44,17 +46,25 @@ def test_phases_are_powers_of_i():
 
 def test_operator_constructors():
     p = PauliOperator.identity(3)
-    assert p.is_identity_word and p.phase_exp == 0
-    q = PauliOperator(2, (L.Y,)).embedded(3, [1])
+    assert p.is_identity_word() and p.phase_exp == 0
+    assert not PauliOperator.from_letters(0, (L.I, L.X, L.I)).is_identity_word()
+    q = PauliOperator.from_letters(2, (L.Y,)).embedded(3, [1])
     assert q.letters == (L.I, L.Y, L.I)
     assert PHASES[q.phase_exp] == -1
     assert q.with_letter(2, L.Z).letters == (L.I, L.Y, L.Z)
+    assert (q.x, q.z) == (0b10, 0b10) and PauliOperator(2, 3, 0b10, 0b10) == q
+    for bad in ((3, 0b1000, 0), (3, 0, -1), (-1, 0, 0)):
+        with pytest.raises(ValueError, match="do not fit"):
+            PauliOperator(0, *bad)
+    for out_of_range in (q.letter, lambda w: q.with_letter(w, L.X)):
+        with pytest.raises(ValueError, match="out of range"):
+            out_of_range(3)
 
 
 def test_embedded_places_letters_on_wires():
-    p = PauliOperator(3, (L.X, L.Z))
+    p = PauliOperator.from_letters(3, (L.X, L.Z))
     wide = p.embedded(4, (3, 1))
-    assert wide == PauliOperator(3, (L.I, L.Z, L.I, L.X))
+    assert wide == PauliOperator.from_letters(3, (L.I, L.Z, L.I, L.X))
     with pytest.raises(ValueError, match="out of range"):
         p.embedded(2, (0, 2))
     with pytest.raises(ValueError, match="duplicate"):
@@ -65,7 +75,7 @@ def test_embedded_places_letters_on_wires():
 
 def test_operator_matrix_kron_order():
     # qubit 0 is the left kron factor
-    p = PauliOperator(1, (L.X, L.Z))
+    p = PauliOperator.from_letters(1, (L.X, L.Z))
     expect = 1j * np.kron(letter_matrix(L.X), letter_matrix(L.Z))
     assert np.array_equal(p.matrix(), expect)
 
@@ -80,7 +90,7 @@ def test_operator_matrix_is_bitwise_the_kron_product():
                 for l in letters:
                     m = np.kron(m, letter_matrix(l))
                 expect = PHASES[k] * m
-                p = PauliOperator(k, letters)
+                p = PauliOperator.from_letters(k, letters)
                 got = p.matrix()
                 assert got.shape == expect.shape
                 assert got.tobytes() == expect.tobytes(), (k, letters)
@@ -95,8 +105,8 @@ def test_multiply_exact_all_single_letter_pairs():
         for b in LETTERS:
             for ka in range(4):
                 for kb in range(4):
-                    p = PauliOperator(ka, (a,))
-                    q = PauliOperator(kb, (b,))
+                    p = PauliOperator.from_letters(ka, (a,))
+                    q = PauliOperator.from_letters(kb, (b,))
                     prod = multiply(p, q)
                     assert np.array_equal(
                         prod.matrix(), p.matrix() @ q.matrix()
@@ -108,8 +118,8 @@ def test_multiply_is_letterwise_on_words():
     for _ in range(30):
         lp = tuple(L(int(i)) for i in gen.integers(0, 4, size=3))
         lq = tuple(L(int(i)) for i in gen.integers(0, 4, size=3))
-        p = PauliOperator(int(gen.integers(0, 4)), lp)
-        q = PauliOperator(int(gen.integers(0, 4)), lq)
+        p = PauliOperator.from_letters(int(gen.integers(0, 4)), lp)
+        q = PauliOperator.from_letters(int(gen.integers(0, 4)), lq)
         assert np.array_equal(multiply(p, q).matrix(), p.matrix() @ q.matrix())
 
 
@@ -121,7 +131,7 @@ def test_multiply_length_mismatch():
 def test_conjugate_through_h_matches_matrix_oracle():
     for letter in LETTERS:
         for k in range(4):
-            p = PauliOperator(k, (L.I, letter))
+            p = PauliOperator.from_letters(k, (L.I, letter))
             image = conjugate_through_H(p, 1)
             big_h = np.kron(np.eye(2), H_MATRIX)
             oracle = big_h @ p.matrix() @ big_h.conj().T
@@ -133,17 +143,80 @@ def test_conjugate_through_cnot_matches_matrix_oracle():
     for a in LETTERS:
         for b in LETTERS:
             for k in range(4):
-                p = PauliOperator(k, (a, b))
+                p = PauliOperator.from_letters(k, (a, b))
                 image = conjugate_through_CNOT(p, 0, 1)
                 oracle = CNOT_MATRIX @ p.matrix() @ CNOT_MATRIX
                 assert np.allclose(image.matrix(), oracle, atol=1e-12), p
-                flipped = conjugate_through_CNOT(PauliOperator(k, (a, b)), 1, 0)
+                flipped = conjugate_through_CNOT(p, 1, 0)
                 rev = np.array(
                     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
                     dtype=complex,
                 )
                 oracle = rev @ p.matrix() @ rev
                 assert np.allclose(flipped.matrix(), oracle, atol=1e-12), p
+
+
+#: sqrt(2) H, so that H-conjugated words stay exact Gaussian integers
+_H_TIMES_SQRT2 = np.array([[1, 1], [1, -1]], dtype=complex)
+
+
+def _dense(k, letters):
+    """i^k times the np.kron product of the letters' matrices."""
+    m = PHASES[k] * np.ones((1, 1), dtype=complex)
+    for l in letters:
+        m = np.kron(m, letter_matrix(l))
+    return m
+
+
+def _dense_cnot(n, c, t):
+    """CNOT(c, t) on n qubits as a permutation matrix, qubit 0 the most
+    significant bit of the basis index."""
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    for b in range(2**n):
+        u[b ^ (b >> (n - 1 - c) & 1) << (n - 1 - t), b] = 1
+    return u
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two words on the same 1 to 4 qubits, and the second one's phase."""
+    word = st.tuples(*[st.sampled_from(LETTERS)] * draw(st.integers(1, 4)))
+    return draw(word), draw(word), draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_pairs())
+def test_bit_rules_equal_dense_products(words):
+    a, b, kb = words
+    n = len(a)
+    assert np.array_equal(_dense_cnot(2, 0, 1), CNOT_MATRIX)
+    q = PauliOperator.from_letters(kb, b)
+
+    def dense(o):
+        return _dense(o.phase_exp, o.letters)
+
+    for k in range(4):
+        p = PauliOperator.from_letters(k, a)
+        assert p.letters == a and p.phase_exp == k
+        assert all(p.letter(w) is a[w] for w in range(n))
+        dp = _dense(k, a)
+        assert np.array_equal(dense(multiply(p, q)), dp @ _dense(kb, b))
+        for w in range(n):
+            h = np.kron(np.kron(np.eye(2**w), _H_TIMES_SQRT2), np.eye(2 ** (n - 1 - w)))
+            assert np.array_equal(2 * dense(conjugate_through_H(p, w)), h @ dp @ h)
+        for c, t in itertools.permutations(range(n), 2):
+            u = _dense_cnot(n, c, t)
+            assert np.array_equal(dense(conjugate_through_CNOT(p, c, t)), u @ dp @ u)
+        # letter i on wire 2n - 2 - 2i: reversed, and never adjacent
+        wires = range(2 * n - 2, -1, -2)
+        wide = [L.I] * (2 * n - 1)
+        for w, l in zip(wires, a):
+            wide[w] = l
+        assert p.embedded(2 * n - 1, wires) == PauliOperator.from_letters(k, wide)
+        for w in range(n):
+            swapped = p.with_letter(w, b[w])
+            assert swapped.letters == a[:w] + (b[w],) + a[w + 1:]
+            assert swapped.phase_exp == k
 
 
 def test_conjugations_preserve_identity():
@@ -213,7 +286,7 @@ def test_observable_matrix_squares_to_identity():
 def test_apply_pauli_ignores_phase():
     s = basis_state("0")
     for k in range(4):
-        out = apply_pauli(PauliOperator(k, (L.X,)), s)
+        out = apply_pauli(PauliOperator.from_letters(k, (L.X,)), s)
         assert np.array_equal(out.amplitudes, basis_state("1").amplitudes)
 
 
@@ -222,7 +295,7 @@ def test_apply_pauli_matches_letter_matrices():
     for _ in range(20):
         s = random_state(2, gen)
         letters = tuple(L(int(i)) for i in gen.integers(0, 4, size=2))
-        p = PauliOperator(0, letters)
+        p = PauliOperator.from_letters(0, letters)
         out = apply_pauli(p, s)
         expect = p.matrix() @ s.amplitudes
         assert np.allclose(out.amplitudes, expect, atol=1e-12)
