@@ -66,12 +66,12 @@ from .measurement import (
 )
 from .numerics import (
     StateVector,
-    _check_targets,
+    _move,
+    _wire_layout,
     apply_unitary,
     basis_state,
     factor_out,
     overlap,
-    permute_qubits,
     purify,
     random_state,
     tensor,
@@ -180,7 +180,7 @@ TABLE1 = load_table1()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GadgetOutcome:
     """Result of one gadget application.
 
@@ -211,17 +211,19 @@ class _Spec(NamedTuple):
         """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
         reduced = factor_out(state, self.dead)
         n = reduced.num_qubits
-        kept = [i for i in range(n) if i not in self.outputs] + list(self.outputs)
-        if kept == sorted(kept):
+        lay = _wire_layout(n, self.outputs)
+        if lay.wires_last:
             return reduced
-        amps = permute_qubits(reduced.amplitudes, kept, inverse=True)
-        return StateVector(n, amps.reshape(-1))
+        return StateVector(n, _move(reduced.amplitudes, lay.last_back).reshape(-1))
 
 
 def _check_wires(s, wires):
-    if len(set(wires)) < len(wires):
-        raise ValueError("control equals target")
-    _check_targets(s.num_qubits, wires)
+    try:
+        _wire_layout(s.num_qubits, wires)
+    except ValueError:
+        if len(set(wires)) < len(wires):
+            raise ValueError("control equals target") from None
+        raise
 
 
 def narrow(s, wires):

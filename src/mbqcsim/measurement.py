@@ -19,7 +19,8 @@ oracle the test suite checks gadgets (which sample on purifications of
 their data wires) and engines against.
 
 An outcome costs one product with the pair-first block, as few numpy
-calls as that allows, and every bit is that of the plain formulas.  A
+calls as that allows, and every bit is that of the plain formulas; the
+pair's checks and moves are the cached ``_wire_layout`` of numerics.  A
 basis stores its conjugated rows once, so ``rows[i] @ block`` has the
 operands of ``v.conj() @ block``; a probability is
 ``np.vdot(b, b).real.item()``, the float ``float(np.real(...))`` gives;
@@ -46,12 +47,13 @@ the second sign its Z component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import StateVector, _check_targets, permute_qubits, require_unitary
+from .numerics import StateVector, _move, _wire_layout, require_unitary
 from .pauli import (
     PauliLetter,
     SignedPauliObservable,
@@ -191,13 +193,13 @@ class OutcomeBranch:
         return self._state
 
 
-def _post_state(n, order, block, vector=None, p=None):
-    """Renormalized post-state from a pair-first ``block`` laid out by
-    ``order``; a basis branch first puts ``vector`` back on the pair."""
+def _post_state(n, lay, block, vector=None, p=None):
+    """Renormalized post-state from a pair-first ``block`` of the wire
+    layout ``lay``; a basis branch first puts ``vector`` back on the pair."""
     if vector is not None:
         # np.outer's multiply, without its ravel and asarray calls
-        block = vector[:, None] * (block / np.sqrt(p))[None, :]
-    amp = permute_qubits(block, order, inverse=True).reshape(-1)
+        block = vector[:, None] * (block / math.sqrt(p))[None, :]
+    amp = _move(block, lay.first_back).reshape(-1)
     return StateVector(n, amp, normalize=True)
 
 
@@ -214,8 +216,8 @@ def measurement_branches(s, m, wires):
     n = s.num_qubits
     if len(wires) != 2:
         raise ValueError(f"a measurement acts on 2 wires, got {len(wires)}")
-    order = [*_check_targets(n, wires), *(i for i in range(n) if i not in wires)]
-    mat = permute_qubits(s.amplitudes, order).reshape(4, -1)
+    lay = _wire_layout(n, tuple(wires))
+    mat = _move(s.amplitudes, lay.first).reshape(4, -1)
     if isinstance(m, BasisMeasurement):
         blocks = [
             (l, v.amplitudes, row @ mat)
@@ -231,7 +233,7 @@ def measurement_branches(s, m, wires):
         p = np.vdot(block, block).real.item()
         if p < PRUNE_TOL:
             continue
-        pending = (n, order, block, vector, p)
+        pending = (n, lay, block, vector, p)
         branches.append(OutcomeBranch((outcome,), p, _pending=pending))
     return branches
 

@@ -16,19 +16,25 @@ or rank-1 product is ``a[:, None] * b[None, :]``, the very multiply
 ``np.outer`` calls after its ravel and asarray calls (and so the
 products of ``np.kron``); ``b`` goes in as a row, because a 1-D ``b``
 of length 1 sends numpy down another loop that rounds differently.
-``permute_qubits`` calls ``.transpose``, the method ``np.transpose``
-forwards to.  Results are bit for bit those of the plain formulas;
+A wire permutation calls ``.transpose``, the method ``np.transpose``
+forwards to, and a scalar square root ``math.sqrt``, correctly rounded
+as ``np.sqrt`` is.  Results are bit for bit those of the plain formulas;
 ``factor_out``'s leak residual, a check that gates but never enters a
 result, is one ``vdot``.
 
-``permute_qubits`` is the one wire permutation; ``purify`` alone
-decides whether a register is small enough to run as it is.  A
-tolerance check reads ``not x <= tol``, so a NaN fails it.
+A width and a tuple of wires fix the wire checks and the transpose
+plans that move the wires first or last and back: ``_wire_layout``
+builds them once per pair, in a bounded cache.  A layout holds no
+amplitudes and each array call gets the operands it had, so no bit
+moves; bad wires raise on every call.  ``purify`` alone decides whether
+a register is small enough to run as it is.  A tolerance check reads
+``not x <= tol``, so a NaN fails it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -124,7 +130,6 @@ def _check_targets(num_qubits, targets):
     return targets
 
 
-@lru_cache(maxsize=4096)
 def _transpose_plan(perm, inverse):
     """(shape, axes) that move qubits like ``perm``; source qubits that
     stay adjacent and in order travel as one axis."""
@@ -150,8 +155,28 @@ def permute_qubits(amps, perm, inverse=False):
     axes grouped so that a wide register transposes only a few, which
     reshapes to the same bytes.  ``inverse=True`` undoes ``perm``.
     """
-    shape, axes = _transpose_plan(tuple(perm), inverse)
+    return _move(amps, _transpose_plan(tuple(perm), inverse))
+
+
+def _move(amps, plan):
+    shape, axes = plan
     return amps.reshape(shape).transpose(axes)
+
+
+_Layout = namedtuple("_Layout", "wires rest wires_last first first_back last last_back")
+
+
+@lru_cache(maxsize=2048)
+def _wire_layout(num_qubits, wires, as_set=False):
+    """The checked tuple ``wires`` (sorted and deduplicated first when
+    ``as_set``), the ``rest`` ascending, whether the wires already are
+    the last ones, and the transpose plans that move them first or last
+    and back.  Bad wires raise, so nothing is cached for them."""
+    wires = tuple(_check_targets(num_qubits, sorted(set(wires)) if as_set else wires))
+    rest = tuple(q for q in range(num_qubits) if q not in wires)
+    first, last = wires + rest, rest + wires
+    plans = (_transpose_plan(p, inverse) for p in (first, last) for inverse in (False, True))
+    return _Layout(wires, rest, last == tuple(range(num_qubits)), *plans)
 
 
 def apply_unitary(u, s, targets):
@@ -162,14 +187,12 @@ def apply_unitary(u, s, targets):
     bad targets raise ValueError.
     """
     u = np.asarray(u, dtype=complex)
-    targets = _check_targets(s.num_qubits, targets)
-    k = len(targets)
+    lay = _wire_layout(s.num_qubits, tuple(targets))
+    k = len(lay.wires)
     if u.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
-    order = targets + [q for q in range(s.num_qubits) if q not in targets]
-    out = u @ permute_qubits(s.amplitudes, order).reshape(2**k, -1)
-    psi = permute_qubits(out, order, inverse=True)
-    return StateVector(s.num_qubits, psi.reshape(-1))
+    out = u @ _move(s.amplitudes, lay.first).reshape(2**k, -1)
+    return StateVector(s.num_qubits, _move(out, lay.first_back).reshape(-1))
 
 
 def overlap(a, b):
@@ -204,24 +227,22 @@ def factor_out(s, dead):
     still entangled with the keep set (an ancilla leak), detected by a
     rank-1 residual above ``STATE_TOL``.
     """
-    dead = sorted(set(dead))
-    _check_targets(s.num_qubits, dead)
-    keep = [q for q in range(s.num_qubits) if q not in dead]
-    mat = permute_qubits(s.amplitudes, dead + keep).reshape(2 ** len(dead), -1)
+    lay = _wire_layout(s.num_qubits, tuple(dead), True)
+    mat = _move(s.amplitudes, lay.first).reshape(2 ** len(lay.wires), -1)
     norms2 = np.einsum("ij,ij->i", mat, mat.conj()).real
-    row = int(np.argmax(norms2))
+    row = int(norms2.argmax())
     if not norms2[row] >= 1e-12:
         raise ValueError("cannot factor out qubits from a zero vector")
-    live = mat[row] / np.sqrt(norms2[row])
+    live = mat[row] / math.sqrt(norms2[row])
     coeffs = mat @ live.conj()
     diff = mat - coeffs[:, None] * live[None, :]
     residual = math.sqrt(np.vdot(diff, diff).real)
     if not residual <= STATE_TOL:
         raise ValueError(
-            f"qubits {dead} remain entangled with the register "
+            f"qubits {list(lay.wires)} remain entangled with the register "
             f"(rank-1 residual {residual:.3e})"
         )
-    return StateVector(len(keep), live, normalize=True)
+    return StateVector(len(lay.rest), live, normalize=True)
 
 
 def _cholesky(gram):
@@ -241,7 +262,10 @@ def _cholesky(gram):
             elif acc.real > 1e-30:
                 li[i] = math.sqrt(acc.real)
         for j in range(i + 1 if li[i] else 0):
-            vi[j] = ((i == j) - sum(li[t] * inv[t][j] for t in range(j, i))) / li[i]
+            acc = 0
+            for t in range(j, i):
+                acc += li[t] * inv[t][j]
+            vi[j] = ((i == j) - acc) / li[i]
     return np.array(low), np.array(inv)
 
 
@@ -256,14 +280,14 @@ def purify(s, wires):
     n, k = s.num_qubits, len(wires)
     if n <= 2 * k:
         return s, wires, lambda p: p
-    order = [*(i for i in range(n) if i not in wires), *wires]
-    m = permute_qubits(s.amplitudes, order).reshape(-1, 2**k)  # M^T
+    lay = _wire_layout(n, tuple(wires))
+    m = _move(s.amplitudes, lay.last).reshape(-1, 2**k)  # M^T
     low, inv = _cholesky((m.T @ m.conj()).tolist())
     right_t = m @ inv.T
 
     def lift(p):
         out = right_t @ p.amplitudes.reshape(-1, 2**k)
-        return StateVector(n, permute_qubits(out, order, inverse=True).reshape(-1))
+        return StateVector(n, _move(out, lay.last_back).reshape(-1))
 
     return StateVector(2 * k, low.T.reshape(-1)), tuple(range(k, 2 * k)), lift
 

@@ -132,9 +132,10 @@ class PauliOperator:
 
     def with_letter(self, qubit, letter):
         """This operator with ``letter`` on ``qubit``, the phase kept."""
-        one = PauliOperator.from_letters(0, [letter]).embedded(self.num_qubits, [qubit])
+        b = _LETTER_OF_BITS.index(PauliLetter(letter))
+        _check_targets(self.num_qubits, [qubit])
         keep = ~(1 << qubit)
-        x, z = self.x & keep | one.x, self.z & keep | one.z
+        x, z = self.x & keep | (b & 1) << qubit, self.z & keep | (b >> 1) << qubit
         return PauliOperator(self.phase_exp, self.num_qubits, x, z)
 
     def __str__(self):

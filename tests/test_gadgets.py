@@ -445,6 +445,20 @@ def test_verify_table1_reports_branch_probabilities():
         assert abs(c.mean_probability - 1 / 16) < 1e-9
 
 
+def test_verify_table1_passes_on_every_seed_of_a_sweep():
+    # seeds 1 to 40 at two states per key, each report held to the
+    # properties a rendered report line shows
+    for seed in range(1, 41):
+        report = verify_table1(states_per_key=2, seed=seed)
+        assert report.ok, seed
+        for c in report.checks:
+            assert c.realized is c.expected, (seed, c)
+            assert f"{c.mean_probability:.4f}" == "0.0625", (seed, c)
+            assert c.max_deficit <= 1e-9, (seed, c)
+        text = report.render()
+        assert "-> ?" not in text and text.count("  ok  p~0.0625  ") == 64, seed
+
+
 # ---------------------------------------------------------------------------
 # sampling builds only the branch it keeps
 # ---------------------------------------------------------------------------
@@ -602,7 +616,7 @@ def test_sampled_gadget_peak_memory_is_a_few_registers():
         "cnot": lambda rng: cnot_gadget(s, 11, 3, rng),
     }
     for name, call in calls.items():
-        call(RandomSource(0))  # fills the basis and transpose-plan caches
+        call(RandomSource(0))  # fills the basis and wire-layout caches
         tracemalloc.start()
         try:
             call(RandomSource(1))

@@ -4,19 +4,24 @@ Each reference below is the straightforward numpy formula the package
 once used (``v.conj() @ mat``, ``np.outer``, ``np.kron``,
 ``float(np.real(np.vdot(...)))``, numpy's ``sum``), kept here so that
 a change of call pattern in ``numerics``, ``measurement``, ``pauli`` or
-``gadgets`` cannot move a single output bit unnoticed.
+``gadgets`` cannot move a single output bit unnoticed.  The wire
+layouts those modules cache per (width, wires) are held to the plain
+``np.transpose`` of their wire order the same way.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from mbqcsim.circuit import H_MATRIX, T_MATRIX
+from mbqcsim.circuit import CNOT_MATRIX, H_MATRIX, T_MATRIX
 from mbqcsim.gadgets import (
     _cnot_byproduct,
     _one_qubit_byproduct,
     _t_byproduct,
+    cnot_gadget,
+    one_qubit_gadget,
     theorem1_correction,
 )
 from mbqcsim.measurement import (
@@ -28,9 +33,14 @@ from mbqcsim.measurement import (
 )
 from mbqcsim.numerics import (
     StateVector,
+    _cholesky,
+    _move,
+    _wire_layout,
+    apply_unitary,
     basis_state,
     factor_out,
     haar_unitary,
+    purify,
     random_state,
     tensor,
 )
@@ -162,6 +172,106 @@ def test_factor_out_is_the_plain_formula():
                 s = StateVector(n, amp.reshape(-1))
                 got = factor_out(s, dead).amplitudes
                 assert got.tobytes() == _reference_factor_out(s, list(dead)).amplitudes.tobytes()
+
+
+def _reference_cholesky(gram):
+    """``_cholesky`` as it was written, each inverse entry by ``sum``."""
+    d = len(gram)
+    low = [[0j] * d for _ in range(d)]
+    inv = [[0j] * d for _ in range(d)]
+    for i, (gi, li, vi) in enumerate(zip(gram, low, inv)):
+        for j, lj in enumerate(low[: i + 1]):
+            acc = gi[j]
+            for t in range(j):
+                acc -= li[t] * lj[t].conjugate()
+            if j < i:
+                li[j] = acc / lj[j] if lj[j] else 0j
+            elif acc.real > 1e-30:
+                li[i] = math.sqrt(acc.real)
+        for j in range(i + 1 if li[i] else 0):
+            vi[j] = ((i == j) - sum(li[t] * inv[t][j] for t in range(j, i))) / li[i]
+    return np.array(low), np.array(inv)
+
+
+def test_cholesky_is_the_sum_formula():
+    # Gram matrices of the blocks purify factors, full rank and not
+    gen = np.random.default_rng(21)
+    for k in (1, 2, 3):
+        for cols in (1, 2, 2**k, 2**k + 3):
+            m = gen.standard_normal((2**k, cols)) + 1j * gen.standard_normal((2**k, cols))
+            if cols > 1:
+                m[-1] = m[0]  # a pivot that vanishes
+            for block in (m, m[:, :1] * m[:, 1:2].T if cols > 1 else m):
+                gram = (block @ block.conj().T).tolist()
+                for got, ref in zip(_cholesky(gram), _reference_cholesky(gram)):
+                    assert got.tobytes() == ref.tobytes(), (k, cols)
+
+
+def _ordered_wires(n):
+    """Every tuple of distinct wires of an n-qubit register: the pairs a
+    measurement takes, a gadget's data wires and outputs, and targets."""
+    for k in range(n + 1):
+        yield from itertools.permutations(range(n), k)
+
+
+def _check_layout(n, lay, wires):
+    """``lay`` against the plain formulas for the distinct ``wires``."""
+    rest = tuple(q for q in range(n) if q not in wires)
+    assert (lay.wires, lay.rest) == (wires, rest)
+    assert lay.wires_last == (rest + wires == tuple(sorted(rest + wires)))
+    a = np.arange(2**n, dtype=float) + 0.5j
+    for order, to, back in ((wires + rest, lay.first, lay.first_back),
+                            (rest + wires, lay.last, lay.last_back)):
+        moved = np.transpose(a.reshape((2,) * n), order).reshape(-1)
+        assert _move(a, to).reshape(-1).tobytes() == moved.tobytes(), (wires, order)
+        assert _move(moved, back).reshape(-1).tobytes() == a.tobytes(), (wires, order)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_wire_layouts_are_the_plain_formulas(n):
+    for wires in _ordered_wires(n):
+        _check_layout(n, _wire_layout(n, wires), wires)
+        # a second lookup is the cached layout itself
+        assert _wire_layout(n, wires) is _wire_layout(n, wires)
+    # a dead set, in any order and with repeats, is laid out sorted
+    for k in range(min(n, 3) + 1):
+        for dead in itertools.product(range(n), repeat=k):
+            _check_layout(n, _wire_layout(n, dead, True), tuple(sorted(set(dead))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: measurement_branches(s, BELL_BASIS, (1, 1)),
+     r"duplicate target qubits: \[1, 1\]"),
+    (lambda s: measurement_branches(s, BELL_BASIS, (0, 4)),
+     "target qubit 4 out of range for 4-qubit register"),
+    (lambda s: measurement_branches(s, BELL_BASIS, [-1, 0]),
+     "target qubit -1 out of range for 4-qubit register"),
+    (lambda s: measurement_branches(s, BELL_BASIS, (0, 1, 2)),
+     "a measurement acts on 2 wires, got 3"),
+    (lambda s: factor_out(s, [2, 4, 2]), "target qubit 4 out of range for 4-qubit register"),
+    (lambda s: factor_out(s, (-2,)), "target qubit -2 out of range for 4-qubit register"),
+    (lambda s: apply_unitary(CNOT_MATRIX, s, [3, 3]), r"duplicate target qubits: \[3, 3\]"),
+    (lambda s: apply_unitary(H_MATRIX, s, [6]),
+     "target qubit 6 out of range for 4-qubit register"),
+    (lambda s: purify(s, (5,)), "target qubit 5 out of range for 4-qubit register"),
+    (lambda s: one_qubit_gadget(H_MATRIX, s, -1, RandomSource(0)),
+     "target qubit -1 out of range for 4-qubit register"),
+    (lambda s: cnot_gadget(s, 2, 2, RandomSource(0)), "control equals target"),
+    (lambda s: cnot_gadget(s, 1, 4, RandomSource(0)),
+     "target qubit 4 out of range for 4-qubit register"),
+])
+def test_bad_wires_raise_the_same_error_on_every_call(call, message):
+    s = random_state(4, np.random.default_rng(4))
+    for _ in range(2):
+        hits = _wire_layout.cache_info().hits
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(s)
+        # checked afresh: no layout, and no error, came from the cache
+        assert _wire_layout.cache_info().hits == hits
+
+
+def test_the_wire_layout_cache_is_bounded():
+    assert isinstance(_wire_layout.cache_info().maxsize, int)
 
 
 def _reference_choose(gen, probabilities):
