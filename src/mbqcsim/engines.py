@@ -152,8 +152,10 @@ def one_qubit_loop(u, state, q, rng):
     (V B V*) V on the wire; an identity B means the error is trivial.
     Otherwise the next attempt aims at the inverse error V B* V*.
     Returns (state, words); attempt count is geometric with success
-    probability 1/4; every attempt runs on one purification of q
-    (``narrow``).  Raises RetryLimitExceeded after MAX_LOOP_ATTEMPTS.
+    probability 1/4.  Every attempt runs on one narrowed state (the Choi
+    state of q on a register wider than 2 qubits, ``narrow``), so the
+    register is lifted once, by the composed operator of all attempts.
+    Raises RetryLimitExceeded after MAX_LOOP_ATTEMPTS.
     """
     pending = np.asarray(u, dtype=complex)
     words = []

@@ -35,12 +35,15 @@ word; a ``PauliOperator`` is frozen and builds its matrix once, so
 calls share the byproduct and its matrix.  Two drivers run every
 spec.  ``*_branches`` enumerates all 16 words on the register itself,
 the reference.  ``*_gadget`` samples one path (one draw and one built
-post-state per measurement) on the smallest purification of its k
-data wires (``narrow``; ``purify`` runs 2k qubits or fewer as they
-are).  Its statistics and branch map depend only on the data wires'
-reduced state (gate teleportation, Gottesman & Chuang,
-quant-ph/9908010): a sampled branch is the enumerated branch of the
-same word up to rounding, not bit for bit.
+post-state per measurement) on what ``narrow`` gives: a register of 2k
+qubits or fewer as it is, a wider one as the Choi state |Phi+>^(x)k of
+its k data wires.  Each word of a gadget acts on the data wires as a
+multiple of one unitary K, the teleported gate with its byproduct (gate
+teleportation, Gottesman & Chuang, quant-ph/9908010), so its
+probability is 1/16 for every input.  The Choi post-state holds K;
+``choi``'s lift reads it, checks it is unitary (the per-call proof of
+that claim) and applies it to the register once.  A sampled branch is
+the enumerated branch of the same word up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ from .numerics import (
     _wire_layout,
     apply_unitary,
     basis_state,
+    choi,
     factor_out,
     overlap,
-    purify,
     random_state,
     tensor,
 )
@@ -227,9 +230,9 @@ def _check_wires(s, wires):
 
 
 def narrow(s, wires):
-    """Check ``wires``, then ``purify``: the (state, wires, lift) a gadget runs on."""
+    """Check ``wires``, then ``choi``: the (state, wires, lift) a gadget runs on."""
     _check_wires(s, wires)
-    return purify(s, wires)
+    return choi(s, wires)
 
 
 def _sample(spec_of, s, wires, rng):
@@ -292,7 +295,8 @@ def one_qubit_gadget(u, s, q, rng):
 
     Post-state is (u sigma_n sigma_m at q)|input> up to global phase,
     where (n, m) is the transcript; each of the 16 words has
-    probability exactly 1/16.  Runs on a purification of q (``narrow``).
+    probability exactly 1/16.  A register wider than 2 qubits runs on the
+    Choi state of q and is lifted by the word's operator (``narrow``).
     """
     return _sample(partial(_one_qubit_spec, u), s, (q,), rng)
 

@@ -15,8 +15,8 @@ it is read.  ``sample_plan`` draws one branch per measurement (one
 ``RandomSource.choose`` each) and so builds one post-state;
 ``enumerate_branches`` expands a plan into every outcome word with its
 post-state.  Enumeration, on the whole register, is the brute-force
-oracle the test suite checks gadgets (which sample on purifications of
-their data wires) and engines against.
+oracle the test suite checks gadgets (which sample on the Choi state
+of their data wires) and engines against.
 
 An outcome costs one product with the pair-first block, as few numpy
 calls as that allows, and every bit is that of the plain formulas; the

@@ -23,11 +23,13 @@ as ``np.sqrt`` is.  Results are bit for bit those of the plain formulas;
 result, is one ``vdot``.
 
 A width and a tuple of wires fix the wire checks and the transpose
-plans that move the wires first or last and back: ``_wire_layout``
-builds them once per pair, in a bounded cache.  A layout holds no
+plans that move the wires first and back, or back from last:
+``_wire_layout`` builds them once per pair, in a bounded cache.  A layout holds no
 amplitudes and each array call gets the operands it had, so no bit
-moves; bad wires raise on every call.  ``purify`` alone decides whether
-a register is small enough to run as it is.  A tolerance check reads
+moves; bad wires raise on every call.  ``choi`` alone decides whether
+a register is small enough to run as it is; a wider one runs a gadget
+on the Choi state of its k data wires and is touched once, by the
+drawn word's operator, which must be unitary.  A tolerance check reads
 ``not x <= tol``, so a NaN fails it.
 """
 
@@ -148,34 +150,26 @@ def _transpose_plan(perm, inverse):
     return shape, tuple(by_source.index(r) for r in range(len(runs)))
 
 
-def permute_qubits(amps, perm, inverse=False):
-    """``amps`` with new qubit i taken from old qubit ``perm[i]``.
-
-    The array ``np.transpose(amps.reshape((2,) * n), perm)`` with its
-    axes grouped so that a wide register transposes only a few, which
-    reshapes to the same bytes.  ``inverse=True`` undoes ``perm``.
-    """
-    return _move(amps, _transpose_plan(tuple(perm), inverse))
-
-
 def _move(amps, plan):
     shape, axes = plan
     return amps.reshape(shape).transpose(axes)
 
 
-_Layout = namedtuple("_Layout", "wires rest wires_last first first_back last last_back")
+_Layout = namedtuple("_Layout", "wires rest wires_last first first_back last_back")
 
 
 @lru_cache(maxsize=2048)
 def _wire_layout(num_qubits, wires, as_set=False):
     """The checked tuple ``wires`` (sorted and deduplicated first when
     ``as_set``), the ``rest`` ascending, whether the wires already are
-    the last ones, and the transpose plans that move them first or last
-    and back.  Bad wires raise, so nothing is cached for them."""
+    the last ones, and the transpose plans that move them first and
+    back, or back from last.  Bad wires raise, so nothing is cached for
+    them."""
     wires = tuple(_check_targets(num_qubits, sorted(set(wires)) if as_set else wires))
     rest = tuple(q for q in range(num_qubits) if q not in wires)
     first, last = wires + rest, rest + wires
-    plans = (_transpose_plan(p, inverse) for p in (first, last) for inverse in (False, True))
+    plans = (_transpose_plan(first, False), _transpose_plan(first, True),
+             _transpose_plan(last, True))
     return _Layout(wires, rest, last == tuple(range(num_qubits)), *plans)
 
 
@@ -245,51 +239,33 @@ def factor_out(s, dead):
     return StateVector(len(lay.rest), live, normalize=True)
 
 
-def _cholesky(gram):
-    """Lower L with L L^dagger = ``gram`` (nested lists) and the rows of
-    its inverse, in Python scalars.  A pivot with square <= 1e-30, far
-    below rounding, vanishes: its column of L and row of L^-1 are zero."""
-    d = len(gram)
-    low = [[0j] * d for _ in range(d)]
-    inv = [[0j] * d for _ in range(d)]
-    for i, (gi, li, vi) in enumerate(zip(gram, low, inv)):
-        for j, lj in enumerate(low[: i + 1]):
-            acc = gi[j]
-            for t in range(j):
-                acc -= li[t] * lj[t].conjugate()
-            if j < i:
-                li[j] = acc / lj[j] if lj[j] else 0j
-            elif acc.real > 1e-30:
-                li[i] = math.sqrt(acc.real)
-        for j in range(i + 1 if li[i] else 0):
-            acc = 0
-            for t in range(j, i):
-                acc += li[t] * inv[t][j]
-            vi[j] = ((i == j) - acc) / li[i]
-    return np.array(low), np.array(inv)
+@lru_cache(maxsize=4)
+def _choi_state(k):
+    """|Phi+>^(x)k on 2k qubits: k reference wires, then k data wires."""
+    return StateVector(2 * k, np.eye(2**k).reshape(-1) / math.sqrt(2**k))
 
 
-def purify(s, wires):
-    """The smallest purification of ``wires``: (state, wires, lift).  A
-    register of 2k qubits or fewer is its own, with its wires and the
-    identity lift.  A wider one, with the k wires moved last, has a 2^k x
-    2^(n-k) amplitude block M = L R, L L^dagger = M M^dagger, R's rows
-    orthonormal or zero where a pivot vanishes: ``state`` is L on k
-    reference wires, then the wires, and ``lift`` maps a post-state P of
-    it back as P R.  What acts on the wires alone sees only M M^dagger."""
+def choi(s, wires):
+    """The (state, wires, lift) a gadget on ``wires`` runs on.  A register
+    of 2k qubits or fewer is its own, with its wires and the identity
+    lift.  A wider one runs on the Choi state |Phi+>^(x)k, the k data
+    wires after k reference wires: a post-state P of it is
+    (I (x) K)|Phi+>^(x)k, so ``lift`` reads K = sqrt(2^k) P^T, checks it is
+    unitary, and applies it to the wires of ``s``.  A unitary K is a word
+    whose probability does not depend on the input, so a word drawn on
+    the Choi state is drawn as on ``s`` itself."""
     n, k = s.num_qubits, len(wires)
     if n <= 2 * k:
         return s, wires, lambda p: p
     lay = _wire_layout(n, tuple(wires))
-    m = _move(s.amplitudes, lay.last).reshape(-1, 2**k)  # M^T
-    low, inv = _cholesky((m.T @ m.conj()).tolist())
-    right_t = m @ inv.T
+    d = 2**k
 
     def lift(p):
-        out = right_t @ p.amplitudes.reshape(-1, 2**k)
-        return StateVector(n, _move(out, lay.last_back).reshape(-1))
+        op = require_unitary(math.sqrt(d) * p.amplitudes.reshape(d, d).T)
+        out = op @ _move(s.amplitudes, lay.first).reshape(d, -1)
+        return StateVector(n, _move(out, lay.first_back).reshape(-1), normalize=True)
 
-    return StateVector(2 * k, low.T.reshape(-1)), tuple(range(k, 2 * k)), lift
+    return _choi_state(k), tuple(range(k, 2 * k)), lift
 
 
 def random_state(num_qubits, gen):

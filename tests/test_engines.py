@@ -231,7 +231,7 @@ def test_frame_costs_have_zero_variance():
 
 
 def test_frame_engine_runs_an_eighteen_qubit_register():
-    # every gadget runs on a purification of at most four qubits, so a
+    # every gadget runs on the Choi state of at most four qubits, so a
     # 4 MB register never grows to the 64 MB of an extended one
     gen = np.random.default_rng(18)
     c = random_circuit(gen, 18, 50)

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mbqcsim.circuit import CNOT_MATRIX, T_MATRIX
+from mbqcsim.circuit import CNOT_MATRIX, H_MATRIX, T_MATRIX
 from mbqcsim.gadgets import (
     TABLE1,
     adapted_t_branches,
@@ -21,7 +21,7 @@ from mbqcsim.gadgets import (
     theorem1_correction,
     verify_table1,
 )
-from mbqcsim.measurement import RandomSource
+from mbqcsim.measurement import BasisMeasurement, RandomSource
 from mbqcsim.numerics import (
     StateVector,
     apply_unitary,
@@ -576,7 +576,7 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
 
 
 # ---------------------------------------------------------------------------
-# wire checks and memory of the purified path
+# wire checks and memory of the Choi path
 # ---------------------------------------------------------------------------
 
 
@@ -594,13 +594,12 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
 ], ids=["one_qubit", "one_qubit_negative", "adapted_t", "cnot_equal",
         "cnot_equal_out_of_range", "cnot"])
 def test_sampled_gadget_rejects_bad_wires_before_array_work(call, message, monkeypatch):
-    from mbqcsim import gadgets, numerics
+    from mbqcsim import gadgets
 
     def no_array_work(*args, **kwargs):
         raise AssertionError("array work before the wire check")
 
-    for module, name in ((gadgets, "purify"), (gadgets, "tensor"),
-                         (numerics, "permute_qubits")):
+    for module, name in ((gadgets, "choi"), (gadgets, "tensor")):
         monkeypatch.setattr(module, name, no_array_work)
     s = random_state(5, np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -624,3 +623,75 @@ def test_sampled_gadget_peak_memory_is_a_few_registers():
         finally:
             tracemalloc.stop()
         assert peak <= 6 * s.amplitudes.nbytes, (name, peak / s.amplitudes.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# the operator a wide call reads off the Choi state
+# ---------------------------------------------------------------------------
+
+
+def _closed_forms():
+    """(name, sample(rng), sizes, closed form of a word) on a 5-qubit
+    register, wider than 2k for every gadget."""
+    s = random_state(5, np.random.default_rng(60))
+    u = haar_unitary(2, np.random.default_rng(61))
+    cases = [
+        (name, lambda rng, m=m: one_qubit_gadget(m, s, 3, rng), (4, 4),
+         lambda w, m=m: m @ letter_matrix(L(w[0])) @ letter_matrix(L(w[1])))
+        for name, m in (("H", H_MATRIX), ("T", T_MATRIX), ("haar", u))
+    ]
+    for p in LETTERS:
+        cases.append((
+            f"adapted_t_{p.name}", lambda rng, p=p: adapted_t_gadget(s, 1, p, rng), (4, 2, 2),
+            lambda w, p=p: (letter_matrix(theorem1_correction(*w[1:]))
+                            @ T_MATRIX @ letter_matrix(p)),
+        ))
+
+    def cnot_form(w):
+        byproduct = CNOT_MATRIX @ np.kron(*(letter_matrix(L(l)) for l in w)) @ CNOT_MATRIX
+        return byproduct @ CNOT_MATRIX
+
+    cases.append(("cnot", lambda rng: cnot_gadget(s, 4, 0, rng), (4, 4), cnot_form))
+    return cases
+
+
+@pytest.mark.parametrize("case", _closed_forms(), ids=lambda c: c[0])
+def test_choi_lift_reads_each_words_operator(case, monkeypatch):
+    from mbqcsim import numerics
+
+    _, sample, sizes, closed_form = case
+    read = []
+    real = numerics.require_unitary
+
+    def recording(op):
+        read.append(np.array(op))
+        return real(op)
+
+    monkeypatch.setattr(numerics, "require_unitary", recording)
+    words = set()
+    for picks in itertools.product(*map(range, sizes)):
+        word = sample(Scripted(picks)).transcript
+        words.add(word)
+        (op,) = read  # one checked operator per call
+        read.clear()
+        assert np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= 1e-12, word
+        expect = closed_form(word)
+        phase = np.vdot(expect, op)  # tr(expect^dagger op)
+        assert np.max(np.abs(op - phase / abs(phase) * expect)) <= 1e-12, word
+    assert len(words) == 16
+
+
+def test_a_word_that_is_not_unitary_raises_instead_of_sampling(monkeypatch):
+    from mbqcsim import gadgets
+
+    # a computational-basis second measurement projects the data wire
+    computational = BasisMeasurement(
+        tuple(basis_state(b) for b in ("00", "01", "10", "11"))
+    )
+    monkeypatch.setattr(gadgets, "BELL_BASIS", computational)
+    s = random_state(5, np.random.default_rng(5))
+    for seed in range(4):
+        with pytest.raises(ValueError, match="not unitary"):
+            one_qubit_gadget(H_MATRIX, s, 2, RandomSource(seed))
+        with pytest.raises(ValueError, match="not unitary"):
+            cnot_gadget(s, 1, 3, RandomSource(seed))

@@ -10,7 +10,6 @@ layouts those modules cache per (width, wires) are held to the plain
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -33,14 +32,13 @@ from mbqcsim.measurement import (
 )
 from mbqcsim.numerics import (
     StateVector,
-    _cholesky,
     _move,
     _wire_layout,
     apply_unitary,
     basis_state,
+    choi,
     factor_out,
     haar_unitary,
-    purify,
     random_state,
     tensor,
 )
@@ -174,39 +172,6 @@ def test_factor_out_is_the_plain_formula():
                 assert got.tobytes() == _reference_factor_out(s, list(dead)).amplitudes.tobytes()
 
 
-def _reference_cholesky(gram):
-    """``_cholesky`` as it was written, each inverse entry by ``sum``."""
-    d = len(gram)
-    low = [[0j] * d for _ in range(d)]
-    inv = [[0j] * d for _ in range(d)]
-    for i, (gi, li, vi) in enumerate(zip(gram, low, inv)):
-        for j, lj in enumerate(low[: i + 1]):
-            acc = gi[j]
-            for t in range(j):
-                acc -= li[t] * lj[t].conjugate()
-            if j < i:
-                li[j] = acc / lj[j] if lj[j] else 0j
-            elif acc.real > 1e-30:
-                li[i] = math.sqrt(acc.real)
-        for j in range(i + 1 if li[i] else 0):
-            vi[j] = ((i == j) - sum(li[t] * inv[t][j] for t in range(j, i))) / li[i]
-    return np.array(low), np.array(inv)
-
-
-def test_cholesky_is_the_sum_formula():
-    # Gram matrices of the blocks purify factors, full rank and not
-    gen = np.random.default_rng(21)
-    for k in (1, 2, 3):
-        for cols in (1, 2, 2**k, 2**k + 3):
-            m = gen.standard_normal((2**k, cols)) + 1j * gen.standard_normal((2**k, cols))
-            if cols > 1:
-                m[-1] = m[0]  # a pivot that vanishes
-            for block in (m, m[:, :1] * m[:, 1:2].T if cols > 1 else m):
-                gram = (block @ block.conj().T).tolist()
-                for got, ref in zip(_cholesky(gram), _reference_cholesky(gram)):
-                    assert got.tobytes() == ref.tobytes(), (k, cols)
-
-
 def _ordered_wires(n):
     """Every tuple of distinct wires of an n-qubit register: the pairs a
     measurement takes, a gadget's data wires and outputs, and targets."""
@@ -220,11 +185,11 @@ def _check_layout(n, lay, wires):
     assert (lay.wires, lay.rest) == (wires, rest)
     assert lay.wires_last == (rest + wires == tuple(sorted(rest + wires)))
     a = np.arange(2**n, dtype=float) + 0.5j
-    for order, to, back in ((wires + rest, lay.first, lay.first_back),
-                            (rest + wires, lay.last, lay.last_back)):
-        moved = np.transpose(a.reshape((2,) * n), order).reshape(-1)
-        assert _move(a, to).reshape(-1).tobytes() == moved.tobytes(), (wires, order)
-        assert _move(moved, back).reshape(-1).tobytes() == a.tobytes(), (wires, order)
+    first = np.transpose(a.reshape((2,) * n), wires + rest).reshape(-1)
+    assert _move(a, lay.first).reshape(-1).tobytes() == first.tobytes(), wires
+    assert _move(first, lay.first_back).reshape(-1).tobytes() == a.tobytes(), wires
+    last = np.transpose(a.reshape((2,) * n), rest + wires).reshape(-1)
+    assert _move(last, lay.last_back).reshape(-1).tobytes() == a.tobytes(), wires
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -253,7 +218,7 @@ def test_wire_layouts_are_the_plain_formulas(n):
     (lambda s: apply_unitary(CNOT_MATRIX, s, [3, 3]), r"duplicate target qubits: \[3, 3\]"),
     (lambda s: apply_unitary(H_MATRIX, s, [6]),
      "target qubit 6 out of range for 4-qubit register"),
-    (lambda s: purify(s, (5,)), "target qubit 5 out of range for 4-qubit register"),
+    (lambda s: choi(s, (5,)), "target qubit 5 out of range for 4-qubit register"),
     (lambda s: one_qubit_gadget(H_MATRIX, s, -1, RandomSource(0)),
      "target qubit -1 out of range for 4-qubit register"),
     (lambda s: cnot_gadget(s, 2, 2, RandomSource(0)), "control equals target"),

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from mbqcsim.numerics import (
     StateVector,
+    _move,
+    _transpose_plan,
     apply_unitary,
     basis_state,
+    choi,
     factor_out,
     haar_unitary,
     overlap,
-    permute_qubits,
-    purify,
     random_state,
     require_unitary,
     tensor,
@@ -171,34 +172,50 @@ def test_factor_out_product_state():
     assert np.isclose(overlap(reduced, expect), 1.0)
 
 
-def _reduced(s, wires):
-    """Density matrix of ``wires`` of ``s``, wires in the given order."""
-    rest = [q for q in range(s.num_qubits) if q not in wires]
-    m = np.transpose(s.amplitudes.reshape((2,) * s.num_qubits), [*wires, *rest])
-    m = m.reshape(2 ** len(wires), -1)
-    return m @ m.conj().T
+@pytest.mark.parametrize("n, wires", [
+    (1, (0,)), (2, (1,)), (2, (0,)), (2, (1, 0)), (3, (2, 0)), (4, (1, 3)),
+])
+def test_choi_runs_a_small_register_as_it_is(n, wires):
+    s = random_state(n, np.random.default_rng(n))
+    state, data, lift = choi(s, wires)
+    assert state is s and data == wires
+    assert lift(state) is state
 
 
 @pytest.mark.parametrize("n, wires", [
-    (1, (0,)), (2, (1,)), (3, (2,)), (5, (0,)), (2, (1, 0)), (3, (2, 0)),
-    (4, (1, 3)), (6, (4, 1)),
+    (3, (2,)), (5, (0,)), (5, (3, 1)), (6, (4, 1)),
 ])
-def test_purify_keeps_the_wires_reduced_state_and_lifts_back(n, wires):
+def test_choi_runs_a_wide_register_on_the_choi_state(n, wires):
     k = len(wires)
-    # a random state, and a basis state whose Gram matrix has vanishing pivots
-    for s in (random_state(n, np.random.default_rng(n)), basis_state(("01" * n)[:n])):
-        small, data, lift = purify(s, wires)
-        # the smallest purification: k + log2(min(2^k, 2^(n - k))) qubits
-        assert small.num_qubits == k + min(k, n - k)
-        if n <= 2 * k:
-            # already that small: the register itself, its wires, no lift
-            assert small is s and data == wires
-            assert lift(small) is small
-        else:
-            assert data == tuple(range(k, 2 * k))
-        assert np.allclose(_reduced(small, data), _reduced(s, wires), atol=1e-12)
-        # the untouched purification lifts back to the register itself
-        assert np.allclose(lift(small).amplitudes, s.amplitudes, atol=1e-12)
+    state, data, _ = choi(random_state(n, np.random.default_rng(n)), wires)
+    # |Phi+>^(x)k: k reference wires, then the k data wires
+    assert state.num_qubits == 2 * k and data == tuple(range(k, 2 * k))
+    phi = np.eye(2**k) / np.sqrt(2**k)
+    assert np.allclose(state.amplitudes, phi.reshape(-1), atol=1e-15)
+
+
+@pytest.mark.parametrize("n, wires", [
+    (3, (2,)), (5, (0,)), (5, (3, 1)), (6, (4, 1)), (6, (0, 5)),
+])
+def test_choi_lift_applies_the_operator_on_the_data_wires(n, wires):
+    gen = np.random.default_rng(10 + n)
+    u = haar_unitary(2 ** len(wires), gen)
+    for s in (random_state(n, gen), basis_state(("01" * n)[:n])):
+        state, data, lift = choi(s, wires)
+        lifted = lift(apply_unitary(u, state, data)).amplitudes
+        expect = apply_unitary(u, s, wires).amplitudes
+        assert np.max(np.abs(lifted - expect)) <= 1e-12
+
+
+def test_choi_lift_renormalizes_and_rejects_a_non_unitary_operator():
+    s = random_state(4, np.random.default_rng(4))
+    state, _, lift = choi(s, (2,))
+    # a norm off by 2e-10 passes every check and still lifts to a unit vector
+    off = StateVector(2, state.amplitudes * (1 + 2e-10))
+    assert abs(np.linalg.norm(lift(off).amplitudes) - 1) <= 1e-14
+    # a projection on the data wire is a word no unitary explains
+    with pytest.raises(ValueError, match="not unitary"):
+        lift(basis_state("00"))
 
 
 def _raw(amps):
@@ -278,22 +295,22 @@ def test_overlap_invariant_under_shared_unitary():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10).flatmap(lambda n: st.permutations(range(n))))
-def test_permute_qubits_is_the_plain_transpose(perm):
+def test_transpose_plan_is_the_plain_transpose(perm):
     n = len(perm)
     a = np.random.default_rng(n).standard_normal(2**n) + 0j
     a += 1j * np.arange(2**n)
     expected = np.transpose(a.reshape((2,) * n), perm).reshape(-1)
-    assert np.array_equal(permute_qubits(a, perm).reshape(-1), expected)
-    back = permute_qubits(expected, perm, inverse=True).reshape(-1)
+    assert np.array_equal(_move(a, _transpose_plan(tuple(perm), False)).reshape(-1), expected)
+    back = _move(expected, _transpose_plan(tuple(perm), True)).reshape(-1)
     assert np.array_equal(back, a)
 
 
-def test_permute_qubits_merges_adjacent_runs():
+def test_transpose_plan_merges_adjacent_runs():
     # 16 qubits in three runs: two blocks swapped around a single wire
-    perm = [*range(8, 16), 7, *range(7)]
-    assert permute_qubits(np.zeros(2**16), perm).ndim == 3
+    perm = (*range(8, 16), 7, *range(7))
+    assert _move(np.zeros(2**16), _transpose_plan(perm, False)).ndim == 3
 
 
-def test_permute_qubits_rejects_non_permutation():
+def test_transpose_plan_rejects_non_permutation():
     with pytest.raises(ValueError, match="permutation"):
-        permute_qubits(np.zeros(4), [1, 1])
+        _transpose_plan((1, 1), False)
