@@ -320,17 +320,17 @@ def reinterpret_outcomes(frame, bits):
 def reinterpret_distribution(frame, dist):
     """Permute a computational-basis distribution through a frame.
 
-    Index arithmetic only, so the result is bit-exact: entry b of the
-    output is entry b XOR flipmask of the input, where the flipmask
-    has a 1 on every X/Y wire (qubit 0 is the most significant bit).
+    Entry b of the output is entry b of the input with the bit of every
+    X/Y wire flipped, qubit 0 most significant: with one axis per qubit,
+    a reversal along those axes.  Bit-exact, and a C-ordered copy, since
+    numpy and BLAS take other paths on a reversed view, with other bits.
     """
     dist = np.asarray(dist)
     n = frame.num_qubits
     if dist.shape != (2**n,):
         raise ValueError(f"distribution shape {dist.shape} does not match {n} qubit(s)")
-    flips = reinterpret_outcomes(frame, (0,) * n)
-    mask = sum(bit << (n - 1 - q) for q, bit in enumerate(flips))
-    return dist[np.arange(2**n) ^ mask]
+    flips = tuple(q for q in range(n) if frame.x >> q & 1)
+    return np.flip(dist.reshape((2,) * n), flips).flatten()
 
 
 # ---------------------------------------------------------------------------

@@ -239,32 +239,24 @@ def measurement_branches(s, m, wires):
 
 
 def enumerate_branches(s, plan):
-    """Expand a measurement plan into all outcome words.
+    """Expand a measurement plan into all outcome words, step by step.
 
     ``plan`` is a sequence of ``(wires, measurement)`` steps; a
     callable measurement receives the outcome word so far and returns
-    the one to make, which lets plans adapt to earlier outcomes.  Returns
-    OutcomeBranch leaves with joint probabilities; a path whose joint
-    probability falls below ``PRUNE_TOL`` is dropped, so those of the
-    returned branches sum to 1 up to pruning.
+    the one to make, which lets plans adapt to earlier outcomes.  A step
+    measures every kept path and keeps each branch whose joint
+    probability is at least ``PRUNE_TOL``.  Returns OutcomeBranch leaves
+    in word order, whose joint probabilities sum to 1 up to pruning.
     """
-    leaves = []
-
-    def walk(state, word, prob, remaining):
-        if not remaining:
-            leaves.append(OutcomeBranch(word, prob, state))
-            return
-        wires, m = remaining[0]
-        if callable(m):
-            m = m(word)
-        for b in measurement_branches(state, m, wires):
-            joint = prob * b.probability
-            if joint < PRUNE_TOL:
-                continue
-            walk(b.post_state, word + b.outcomes, joint, remaining[1:])
-
-    walk(s, (), 1.0, list(plan))
-    return leaves
+    paths = [((), 1.0, s)]
+    for wires, m in plan:
+        paths = [
+            (word + b.outcomes, joint, b.post_state)
+            for word, prob, state in paths
+            for b in measurement_branches(state, m(word) if callable(m) else m, wires)
+            if (joint := prob * b.probability) >= PRUNE_TOL
+        ]
+    return [OutcomeBranch(*path) for path in paths]
 
 
 def sample_plan(s, plan, rng):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -121,12 +121,9 @@ class PauliOperator:
 
     @cached_property
     def _matrix(self):
-        # np.kron's products in np.kron's order, without its overhead
-        m = np.ones((1, 1), dtype=complex)
-        for l in self.letters:
-            s = _LETTER_MATRICES[l]
-            m = (m[:, None, :, None] * s[None, :, None, :]).reshape(2 * len(m), -1)
-        m = PHASES[self.phase_exp] * m
+        letters = (_LETTER_MATRICES[l] for l in self.letters)
+        word = reduce(np.kron, letters, np.ones((1, 1), dtype=complex))
+        m = PHASES[self.phase_exp] * word
         m.setflags(write=False)
         return m
 

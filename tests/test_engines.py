@@ -1,5 +1,7 @@
 """Execution engines, frame reinterpretation, termination statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,21 @@ def test_reinterpret_distribution_permutes_by_flipmask():
     # Z never flips
     z_frame = PauliOperator.from_letters(0, (L.Z, L.Z))
     assert np.array_equal(reinterpret_distribution(z_frame, dist), dist)
+
+
+def test_reinterpret_distribution_is_bitwise_the_xor_index():
+    # entry b of the result is entry b ^ mask of the input, mask holding
+    # a 1 on every X/Y wire with qubit 0 most significant; the result is
+    # an owned C-ordered copy, never a reversed view of the input
+    gen = np.random.default_rng(65)
+    for n in range(5):
+        dist = np.abs(random_state(n, gen).amplitudes) ** 2
+        for letters in itertools.product(L, repeat=n):
+            frame = PauliOperator.from_letters(0, letters)
+            mask = sum(1 << (n - 1 - q) for q, l in enumerate(letters) if l in (L.X, L.Y))
+            got = reinterpret_distribution(frame, dist)
+            assert got.tobytes() == dist[np.arange(2**n) ^ mask].tobytes(), letters
+            assert got.flags.c_contiguous and got.flags.owndata
 
 
 def test_reinterpret_distribution_shape_check():

@@ -1,6 +1,7 @@
 """Teleportation gadgets and the adapted-T measurement table."""
 
 import itertools
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -529,17 +530,20 @@ def test_sampled_branch_matches_the_dense_branch(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
     gen = np.random.default_rng(50 + n)
-    # basis states: pivots of the data wires' Gram matrix vanish outright
+    # basis states: the register is mostly exact zeros; a wide call
+    # draws its word on the Choi state without reading them, and the
+    # lift's one product with K must still give the dense branch
     for bits in ("0" * n, ("10" * n)[:n], "1" * n):
         _every_word_against_dense(basis_state(bits), *_random_wires(gen, n), gen)
-    # a pure data wire q inside a product state: a rank-1 Gram matrix,
-    # and rank 2 for a CNOT whose other wire is entangled with the rest
+    # a pure data wire q inside a product state: the data wires' block
+    # has rank 1, and rank 2 for a CNOT whose other wire is entangled
+    # with the rest; the dense branch must still have the Choi draw's 1/16
     for q in range(n):
         s = tensor(tensor(random_state(q, gen), random_state(1, gen)),
                    random_state(n - 1 - q, gen))
         other = (q + 1) % n
         _every_word_against_dense(s, q, (q, other) if n > 1 else None, gen)
-        # nearly so: a pivot of about 1e-4 must be kept, not dropped
+        # nearly so: an admixture of about 1e-4, which the lift must carry
         near = s.amplitudes + 1e-4 * random_state(n, gen).amplitudes
         s = StateVector(n, near, normalize=True)
         _every_word_against_dense(s, q, (q, other) if n > 1 else None, gen)
@@ -573,6 +577,79 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
     built.clear()
     {n: f for n, _, f in _gadget_pairs()}[name]()
     assert len(built) == {"one_qubit": 20, "adapted_t": 28, "cnot": 20}[name]
+
+
+def _count_measurements_and_draws(monkeypatch):
+    """Count ``measurement_branches`` calls and ``RandomSource.choose``
+    draws through the attributes the benchmark tracer wraps: the name in
+    every mbqcsim module that holds it, and the method on the class."""
+    from mbqcsim import measurement
+
+    counts = {"measurements": 0, "draws": 0}
+    branches, choose = measurement.measurement_branches, RandomSource.choose
+
+    def counting_branches(*args):
+        counts["measurements"] += 1
+        return branches(*args)
+
+    def counting_choose(self, probabilities):
+        counts["draws"] += 1
+        return choose(self, probabilities)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mbqcsim" or name.startswith("mbqcsim."):
+            for key, value in list(vars(module).items()):
+                if value is branches:
+                    monkeypatch.setattr(module, key, counting_branches)
+    monkeypatch.setattr(RandomSource, "choose", counting_choose)
+    return counts
+
+
+@pytest.mark.parametrize("name, data_wires, measurements", [
+    ("one_qubit", 1, 2), ("adapted_t", 1, 3), ("cnot", 2, 2),
+])
+def test_sampled_gadget_measures_and_draws_once_per_measurement(
+    name, data_wires, measurements, monkeypatch
+):
+    # the benchmark tracer fails a traced run unless every sampled call
+    # makes one measurement_branches call and one draw per measurement;
+    # on 2k qubits the call runs on the register, on more on the Choi state
+    counts = _count_measurements_and_draws(monkeypatch)
+    u = haar_unitary(2, np.random.default_rng(33))
+    calls = {
+        "one_qubit": lambda s, rng: one_qubit_gadget(u, s, s.num_qubits - 1, rng),
+        "adapted_t": lambda s, rng: adapted_t_gadget(s, 0, L.Z, rng),
+        "cnot": lambda s, rng: cnot_gadget(s, s.num_qubits - 1, 0, rng),
+    }
+    for n in (2 * data_wires, 2 * data_wires + 1):
+        s = random_state(n, np.random.default_rng(n))
+        for seed in range(4):
+            counts.update(measurements=0, draws=0)
+            calls[name](s, RandomSource(seed))
+            assert counts == {"measurements": measurements, "draws": measurements}, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_retry_attempt_measures_and_draws_twice(n, monkeypatch):
+    from mbqcsim import engines
+
+    counts = _count_measurements_and_draws(monkeypatch)
+    attempts = []
+
+    def checked(*args):
+        counts.update(measurements=0, draws=0)
+        out = one_qubit_gadget(*args)
+        attempts.append(dict(counts))
+        return out
+
+    monkeypatch.setattr(engines, "one_qubit_gadget", checked)
+    gen = np.random.default_rng(70 + n)
+    for seed in range(6):
+        attempts.clear()
+        _, words = engines.one_qubit_loop(
+            haar_unitary(2, gen), random_state(n, gen), n - 1, RandomSource(seed)
+        )
+        assert attempts == [{"measurements": 2, "draws": 2}] * len(words)
 
 
 # ---------------------------------------------------------------------------

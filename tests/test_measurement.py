@@ -294,6 +294,54 @@ def test_adaptive_plan_sees_outcome_word():
     assert np.isclose(sum(b.probability for b in leaves), 1.0, atol=1e-12)
 
 
+def _depth_first(s, plan):
+    """Reference enumeration: recurse into each kept branch in turn."""
+    leaves = []
+
+    def walk(state, word, prob, step):
+        if step == len(plan):
+            leaves.append((word, prob, state))
+            return
+        wires, m = plan[step]
+        for b in measurement_branches(state, m(word) if callable(m) else m, wires):
+            if prob * b.probability >= PRUNE_TOL:
+                walk(b.post_state, word + b.outcomes, prob * b.probability, step + 1)
+
+    walk(s, (), 1.0, 0)
+    return leaves
+
+
+def test_enumeration_matches_a_depth_first_walk_bit_for_bit(monkeypatch):
+    # an adaptive plan on a random state, and on a basis state whose
+    # first Bell measurement prunes two of its four labels
+    from mbqcsim import measurement
+
+    plan = [
+        ((2, 0), BELL_BASIS),
+        ((1, 2), lambda w: SignedPauliObservable(1 if w[0] < 2 else -1, (L.Y, L.X))),
+        ((0, 1), lambda w: u_basis(T_MATRIX) if w[1] > 0 else BELL_BASIS),
+    ]
+    for s in (random_state(3, np.random.default_rng(8)), basis_state("010")):
+        calls = []
+        real = measurement.measurement_branches
+
+        def counting(*args, calls=calls, real=real):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(measurement, "measurement_branches", counting)
+        leaves = enumerate_branches(s, plan)
+        monkeypatch.undo()
+        expect = _depth_first(s, plan)
+        assert [b.outcomes for b in leaves] == [w for w, _, _ in expect]
+        for b, (_, prob, state) in zip(leaves, expect):
+            assert b.probability == prob
+            assert b.post_state.amplitudes.tobytes() == state.amplitudes.tobytes()
+        # one measurement per kept inner node: 1 + 4 + 8, fewer when pruned
+        inner = {w[:k] for w, _, _ in expect for k in range(len(plan))}
+        assert len(calls) == len(inner)
+
+
 def test_branch_pruning_drops_impossible_outcomes():
     # |00> has no -1 component of +Z(x)Z at all
     branches = measurement_branches(

@@ -84,7 +84,7 @@ def test_operator_matrix_is_bitwise_the_kron_product():
     # engines build realized gates from byproduct matrices, so seeded
     # output depends on every bit, signed zeros included
     for k in range(4):
-        for r in range(4):
+        for r in range(5):
             for letters in itertools.product(LETTERS, repeat=r):
                 m = np.ones((1, 1), dtype=complex)
                 for l in letters:
