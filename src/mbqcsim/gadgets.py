@@ -25,25 +25,24 @@ resource CNOT_(2,3)(|EPR>_(1,2) (x) |EPR>_(3,4)).  Resource
 preparation applies the CNOT matrix directly, so this gadget is not
 measurement-only; the two attachments are plain Bell measurements.
 
-Each gadget is one spec: the input extended by its (cached) resource
-wires, the measurement plan, the decoding of an outcome word into the
-byproduct, and as data the ``dead`` wires ``compact`` factors out and
-the ``outputs`` the resource wires left last carry back.  The decoding
-is the one word-to-byproduct rule: engines read ``byproduct``, never
-the word.  Each gadget has 16 words, so each decoding is cached per
-word; a ``PauliOperator`` is frozen and builds its matrix once, so
-calls share the byproduct and its matrix.  Two drivers run every
-spec.  ``*_branches`` enumerates all 16 words on the register itself,
-the reference.  ``*_gadget`` samples one path (one draw and one built
-post-state per measurement) on what ``narrow`` gives: a register of 2k
-qubits or fewer as it is, a wider one as the Choi state |Phi+>^(x)k of
-its k data wires.  Each word of a gadget acts on the data wires as a
+Each gadget is one spec: its (cached) resource wires, the measurement
+plan, the decoding of an outcome word into the byproduct (the one
+word-to-byproduct rule, cached per word: engines read ``byproduct``,
+never the word), and as data the ``dead`` wires ``compact`` factors
+out and the ``outputs`` the resource wires left last carry back.
+``*_branches`` enumerates all 16 words on the register itself, the
+reference.  ``*_gadget`` samples one word, one draw per measurement, on
+what ``narrow`` gives: a register of 2k qubits or fewer as it is, a
+wider one as the Choi state |Phi+>^(x)k of its k data wires (with the
+resource adjoined, built once).  A word acts on the data wires as a
 multiple of one unitary K, the teleported gate with its byproduct (gate
 teleportation, Gottesman & Chuang, quant-ph/9908010), so its
-probability is 1/16 for every input.  The Choi post-state holds K;
-``choi``'s lift reads it, checks it is unitary (the per-call proof of
-that claim) and applies it to the register once.  A sampled branch is
-the enumerated branch of the same word up to rounding, not bit for bit.
+probability is 1/16 for every input.  The word's Choi post-state holds
+K, which is read and checked unitary (the proof of that claim) once per
+(key, word), on the bytes every later call of the word would rebuild; a
+bounded memo keeps it, and each call applies it to the register once.
+A sampled branch is the enumerated branch of the same word up to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ from .numerics import (
     apply_unitary,
     basis_state,
     choi,
+    choi_operator,
     factor_out,
     overlap,
     random_state,
@@ -204,7 +204,7 @@ class GadgetOutcome:
 class _Spec(NamedTuple):
     """One gadget call, as the module docstring lays out."""
 
-    register: StateVector
+    resource: StateVector
     plan: list
     decode: Callable
     dead: tuple
@@ -235,22 +235,42 @@ def narrow(s, wires):
     return choi(s, wires)
 
 
+#: a wide call's register, Choi state and resource: the same every call
+_choi_register = lru_cache(maxsize=4)(tensor)
+#: checked word operators of wide calls, least recently used first
+_OPERATORS, _OPERATORS_MAX = {}, 256
+
+
 def _sample(spec_of, s, wires, rng):
-    state, at, lift = narrow(s, wires)
-    spec = spec_of(state, *at)
-    word, post, prob = sample_plan(spec.register, spec.plan, rng)
-    return GadgetOutcome(lift(spec.compact(post)), spec.decode(word), word, prob)
+    state, at, _ = narrow(s, wires)
+    spec = spec_of(state.num_qubits, *at)
+    if state is s:
+        leaf = sample_plan(tensor(s, spec.resource), spec.plan, rng)
+        return _outcome(spec, leaf, spec.compact(leaf.post_state))
+    register = _choi_register(state, spec.resource)
+    leaf = sample_plan(register, spec.plan, rng)
+    # a key (register, word, steps measured) fixes every byte of the read
+    word = leaf.outcomes
+    steps = ((w, m(word[:i]) if callable(m) else m) for i, (w, m) in enumerate(spec.plan))
+    key = (register, word, tuple(steps))
+    op = _OPERATORS.pop(key, None)
+    if op is None:
+        op = choi_operator(spec.compact(leaf.post_state))
+        if len(_OPERATORS) >= _OPERATORS_MAX:
+            del _OPERATORS[next(iter(_OPERATORS))]
+    _OPERATORS[key] = op
+    return _outcome(spec, leaf, apply_unitary(op, s, wires, normalize=True))
+
+
+def _outcome(spec, leaf, post):
+    return GadgetOutcome(post, spec.decode(leaf.outcomes), leaf.outcomes, leaf.probability)
 
 
 def _enumerate(spec_of, s, wires):
     _check_wires(s, wires)
-    spec = spec_of(s, *wires)
-    return [
-        GadgetOutcome(
-            spec.compact(b.post_state), spec.decode(b.outcomes), b.outcomes, b.probability
-        )
-        for b in enumerate_branches(spec.register, spec.plan)
-    ]
+    spec = spec_of(s.num_qubits, *wires)
+    leaves = enumerate_branches(tensor(s, spec.resource), spec.plan)
+    return [_outcome(spec, b, spec.compact(b.post_state)) for b in leaves]
 
 
 @cache
@@ -265,12 +285,11 @@ def _cnot_wires():
     return apply_unitary(CNOT_MATRIX, tensor(epr_state(), epr_state()), (1, 2))
 
 
-def _one_wire_spec(s, q, basis, second, decode):
-    """Spec of a one-qubit or T call: ``basis`` on (a1, a2), then each
-    measurement of ``second`` on (q, a1)."""
-    n = s.num_qubits
+def _one_wire_spec(n, q, basis, second, decode):
+    """Spec of a one-qubit or T call on n data qubits: ``basis`` on
+    (a1, a2), then each measurement of ``second`` on (q, a1)."""
     return _Spec(
-        tensor(s, _three_wires()),
+        _three_wires(),
         [((n, n + 1), basis), *(((q, n), m) for m in second)],
         decode,
         (q, n, n + 2),
@@ -285,9 +304,9 @@ def _one_qubit_byproduct(word):
     return multiply(sigma_n, sigma_m)
 
 
-def _one_qubit_spec(u, s, q):
+def _one_qubit_spec(u, n, q):
     # u_basis rejects a u that is not unitary, once per distinct matrix
-    return _one_wire_spec(s, q, u_basis(u), (BELL_BASIS,), _one_qubit_byproduct)
+    return _one_wire_spec(n, q, u_basis(u), (BELL_BASIS,), _one_qubit_byproduct)
 
 
 def one_qubit_gadget(u, s, q, rng):
@@ -306,7 +325,7 @@ def one_qubit_branches(u, s, q):
     return _enumerate(partial(_one_qubit_spec, u), s, (q,))
 
 
-def _t_spec(sigma_p, table, s, q):
+def _t_spec(sigma_p, table, n, q):
     """Adaptive plan for the adapted T gadget.
 
     M1/M2 are read from the table's row (sigma_p, outcome n); their
@@ -322,7 +341,7 @@ def _t_spec(sigma_p, table, s, q):
         entry = table[(sigma_p, word[0])]
         return entry.m2_pos if word[1] > 0 else entry.m2_neg
 
-    return _one_wire_spec(s, q, u_basis(T_MATRIX), (m1, m2), _t_byproduct)
+    return _one_wire_spec(n, q, u_basis(T_MATRIX), (m1, m2), _t_byproduct)
 
 
 @lru_cache(maxsize=16)  # one entry per outcome word
@@ -356,11 +375,10 @@ def _cnot_byproduct(word):
     return conjugate_through_CNOT(PauliOperator.from_letters(0, word), 0, 1)
 
 
-def _cnot_spec(s, control, target):
-    n = s.num_qubits
+def _cnot_spec(n, control, target):
     # r1 = n and r4 = n + 3 are measured; r2 and r3 carry the outputs
     return _Spec(
-        tensor(s, _cnot_wires()),
+        _cnot_wires(),
         [((control, n), BELL_BASIS), ((target, n + 3), BELL_BASIS)],
         _cnot_byproduct,
         (control, target, n, n + 3),

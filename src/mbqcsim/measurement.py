@@ -12,11 +12,12 @@ Two measurement kinds exist:
 the register out with the pair first, computes every branch's exact
 Born probability up front, and builds a branch's post-state only when
 it is read.  ``sample_plan`` draws one branch per measurement (one
-``RandomSource.choose`` each) and so builds one post-state;
-``enumerate_branches`` expands a plan into every outcome word with its
-post-state.  Enumeration, on the whole register, is the brute-force
-oracle the test suite checks gadgets (which sample on the Choi state
-of their data wires) and engines against.
+``RandomSource.choose`` each), builds the post-state the next step
+measures, and returns the drawn leaf, whose own post-state is built
+only if read; ``enumerate_branches`` expands a plan into every outcome
+word with its post-state.  Enumeration, on the whole register, is the
+brute-force oracle the test suite checks gadgets (which sample on the
+Choi state of their data wires) and engines against.
 
 An outcome costs one product with the pair-first block, as few numpy
 calls as that allows, and every bit is that of the plain formulas; the
@@ -260,14 +261,20 @@ def enumerate_branches(s, plan):
 
 
 def sample_plan(s, plan, rng):
-    """Sample one path through a plan. Returns (word, state, probability)."""
-    word, prob, state = (), 1.0, s
+    """Sample one path through a plan; returns its OutcomeBranch leaf.
+
+    Each step makes one ``measurement_branches`` call and one draw and
+    reads the drawn branch's post-state, which the next step measures.
+    The leaf holds the whole word and its joint probability, the product
+    ``enumerate_branches`` forms; its post-state is built when read.
+    """
+    leaf = OutcomeBranch((), 1.0, s)
     for wires, m in plan:
         if callable(m):
-            m = m(word)
-        branches = measurement_branches(state, m, wires)
+            m = m(leaf.outcomes)
+        branches = measurement_branches(leaf.post_state, m, wires)
         b = branches[rng.choose([b.probability for b in branches])]
-        word += b.outcomes
-        prob *= b.probability
-        state = b.post_state
-    return word, state, prob
+        b.outcomes = leaf.outcomes + b.outcomes
+        b.probability *= leaf.probability
+        leaf = b
+    return leaf

@@ -29,7 +29,8 @@ amplitudes and each array call gets the operands it had, so no bit
 moves; bad wires raise on every call.  ``choi`` alone decides whether
 a register is small enough to run as it is; a wider one runs a gadget
 on the Choi state of its k data wires and is touched once, by the
-drawn word's operator, which must be unitary.  A tolerance check reads
+drawn word's operator, which ``choi_operator`` reads and checks
+unitary and ``apply_unitary`` applies.  A tolerance check reads
 ``not x <= tol``, so a NaN fails it.
 """
 
@@ -173,12 +174,12 @@ def _wire_layout(num_qubits, wires, as_set=False):
     return _Layout(wires, rest, last == tuple(range(num_qubits)), *plans)
 
 
-def apply_unitary(u, s, targets):
+def apply_unitary(u, s, targets, *, normalize=False):
     """Apply a ``2**k x 2**k`` matrix to the ordered ``targets`` of ``s``.
 
     ``targets[0]`` is the most significant qubit of the matrix's own
-    index space.  Returns a new StateVector; dimension mismatches and
-    bad targets raise ValueError.
+    index space.  Returns a new StateVector, rescaled to unit norm when
+    ``normalize``; dimension mismatches and bad targets raise ValueError.
     """
     u = np.asarray(u, dtype=complex)
     lay = _wire_layout(s.num_qubits, tuple(targets))
@@ -186,7 +187,9 @@ def apply_unitary(u, s, targets):
     if u.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
     out = u @ _move(s.amplitudes, lay.first).reshape(2**k, -1)
-    return StateVector(s.num_qubits, _move(out, lay.first_back).reshape(-1))
+    return StateVector(
+        s.num_qubits, _move(out, lay.first_back).reshape(-1), normalize=normalize
+    )
 
 
 def overlap(a, b):
@@ -245,27 +248,33 @@ def _choi_state(k):
     return StateVector(2 * k, np.eye(2**k).reshape(-1) / math.sqrt(2**k))
 
 
+def choi_operator(p):
+    """The operator K of a Choi post-state P = (I (x) K)|Phi+>^(x)k, read
+    as K = sqrt(2^k) P^T, checked unitary and returned read-only."""
+    d = 2 ** (p.num_qubits // 2)
+    op = require_unitary(math.sqrt(d) * p.amplitudes.reshape(d, d).T)
+    op.setflags(write=False)
+    return op
+
+
 def choi(s, wires):
     """The (state, wires, lift) a gadget on ``wires`` runs on.  A register
     of 2k qubits or fewer is its own, with its wires and the identity
     lift.  A wider one runs on the Choi state |Phi+>^(x)k, the k data
-    wires after k reference wires: a post-state P of it is
-    (I (x) K)|Phi+>^(x)k, so ``lift`` reads K = sqrt(2^k) P^T, checks it is
-    unitary, and applies it to the wires of ``s``.  A unitary K is a word
-    whose probability does not depend on the input, so a word drawn on
-    the Choi state is drawn as on ``s`` itself."""
+    wires after k reference wires, and ``lift`` takes a post-state P of
+    it in two steps: ``choi_operator`` reads and checks K, and
+    ``apply_unitary`` applies it to the wires of ``s``, renormalized.  A
+    unitary K is a word whose probability does not depend on the input,
+    so a word drawn on the Choi state is drawn as on ``s`` itself."""
     n, k = s.num_qubits, len(wires)
     if n <= 2 * k:
         return s, wires, lambda p: p
-    lay = _wire_layout(n, tuple(wires))
-    d = 2**k
-
-    def lift(p):
-        op = require_unitary(math.sqrt(d) * p.amplitudes.reshape(d, d).T)
-        out = op @ _move(s.amplitudes, lay.first).reshape(d, -1)
-        return StateVector(n, _move(out, lay.first_back).reshape(-1), normalize=True)
-
-    return _choi_state(k), tuple(range(k, 2 * k)), lift
+    _wire_layout(n, tuple(wires))  # bad wires raise here, not in the lift
+    return (
+        _choi_state(k),
+        tuple(range(k, 2 * k)),
+        lambda p: apply_unitary(choi_operator(p), s, wires, normalize=True),
+    )
 
 
 def random_state(num_qubits, gen):

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .numerics import _check_targets, apply_unitary
+from .numerics import StateVector, _check_targets
 
 
 class PauliLetter(enum.IntEnum):
@@ -213,7 +213,14 @@ def observable_matrix(o):
 
 
 def apply_pauli(p, s):
-    """Apply an operator's letters to a state, qubit by qubit.
+    """Apply an operator's letters to a state, from its X and Z masks.
+
+    Amplitude b of the result is amplitude b ^ x of the input, negated
+    once per Z part whose wire reads 1 in the input, times i once per Y
+    letter: a reversal along the X wires' axes, sign flips and at most
+    one multiply by a unit, each exact.  On amplitudes without a zero
+    real or imaginary part the bits are those of applying each letter's
+    matrix in turn; a zero part may come out with the other sign.
 
     The i^k phase is NOT applied; callers compare up to global phase.
     """
@@ -221,8 +228,16 @@ def apply_pauli(p, s):
         raise ValueError(
             f"qubit count mismatch: {p.num_qubits} vs {s.num_qubits}"
         )
-    out = s
-    for q, l in enumerate(p.letters):
-        if l is not _L.I:
-            out = apply_unitary(_LETTER_MATRICES[l], out, [q])
-    return out
+    n = p.num_qubits
+    flips = tuple(q for q in range(n) if p.x >> q & 1)
+    out = np.flip(s.amplitudes.reshape((2,) * n), flips).copy()
+    for q in range(n):
+        if p.z >> q & 1:
+            # after the reversal, input bit 1 sits at output bit 1 ^ x_q
+            b = 1 ^ (p.x >> q & 1)
+            part = out[(slice(None),) * q + (slice(b, b + 1),)]
+            np.negative(part, out=part)
+    ys = (p.x & p.z).bit_count() % 4
+    if ys:
+        out *= PHASES[ys]
+    return StateVector(n, out.reshape(-1))

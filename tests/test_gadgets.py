@@ -11,6 +11,7 @@ import pytest
 from mbqcsim.circuit import CNOT_MATRIX, H_MATRIX, T_MATRIX
 from mbqcsim.gadgets import (
     TABLE1,
+    Table1Entry,
     adapted_t_branches,
     adapted_t_gadget,
     cnot_branches,
@@ -35,6 +36,7 @@ from mbqcsim.numerics import (
 from mbqcsim.pauli import (
     PauliLetter,
     PauliOperator,
+    SignedPauliObservable,
     apply_pauli,
     letter_matrix,
     multiply,
@@ -466,16 +468,18 @@ def test_verify_table1_passes_on_every_seed_of_a_sweep():
 
 
 def _gadget_pairs(num_qubits=3):
-    """(name, sample(rng), enumerate()) for each gadget on one input."""
+    """(name, sample(rng), enumerate()) for each gadget on one input: a
+    one-wire gadget on the last wire, the CNOT on (last, first)."""
     s = random_state(num_qubits, np.random.default_rng(31))
     u = haar_unitary(2, np.random.default_rng(32))
+    q = num_qubits - 1
     return [
-        ("one_qubit", lambda rng: one_qubit_gadget(u, s, 1, rng),
-         lambda: one_qubit_branches(u, s, 1)),
-        ("adapted_t", lambda rng: adapted_t_gadget(s, 2, L.Y, rng),
-         lambda: adapted_t_branches(s, 2, L.Y)),
-        ("cnot", lambda rng: cnot_gadget(s, 2, 0, rng),
-         lambda: cnot_branches(s, 2, 0)),
+        ("one_qubit", lambda rng: one_qubit_gadget(u, s, q, rng),
+         lambda: one_qubit_branches(u, s, q)),
+        ("adapted_t", lambda rng: adapted_t_gadget(s, q, L.Y, rng),
+         lambda: adapted_t_branches(s, q, L.Y)),
+        ("cnot", lambda rng: cnot_gadget(s, q, 0, rng),
+         lambda: cnot_branches(s, q, 0)),
     ]
 
 
@@ -554,15 +558,23 @@ def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
         _every_word_against_dense(s, 0, (1, 0), gen)
 
 
-@pytest.mark.parametrize("name, measurements", [
-    ("one_qubit", 2), ("adapted_t", 3), ("cnot", 2),
+@pytest.fixture
+def memo():
+    """The memo of checked word operators, emptied for the test."""
+    from mbqcsim import gadgets
+
+    gadgets._OPERATORS.clear()
+    return gadgets._OPERATORS
+
+
+@pytest.mark.parametrize("name, data_wires, measurements", [
+    ("one_qubit", 1, 2), ("adapted_t", 1, 3), ("cnot", 2, 2),
 ])
 def test_sampled_gadget_builds_one_post_state_per_measurement(
-    name, measurements, monkeypatch
+    name, data_wires, measurements, memo, monkeypatch
 ):
     from mbqcsim import measurement
 
-    sample = {n: f for n, f, _ in _gadget_pairs()}[name]
     built = []
     real = measurement._post_state
 
@@ -570,9 +582,27 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
         built.append(args[0])
         return real(*args)
 
+    def built_by(call, seed):
+        built.clear()
+        call(RandomSource(seed))
+        return len(built)
+
+    def sample(num_qubits):
+        return {n: f for n, f, _ in _gadget_pairs(num_qubits)}[name]
+
     monkeypatch.setattr(measurement, "_post_state", counting)
-    sample(RandomSource(4))
-    assert len(built) == measurements
+    # 2k qubits run on the register itself: the leaf's state is the output
+    narrow = sample(2 * data_wires)
+    for seed in range(4):
+        assert built_by(narrow, seed) == measurements
+    assert not memo
+    # wider: a cold memo builds the leaf's state to read the word's
+    # operator, a warm one applies the stored operator without it
+    wide = sample(2 * data_wires + 3)
+    for seed in range(4):
+        cold = built_by(wide, seed)
+        assert (cold, built_by(wide, seed)) == (measurements, measurements - 1)
+        memo.clear()
     # enumeration still builds every kept branch: 4 + 16, or 4 + 8 + 16 for T
     built.clear()
     {n: f for n, _, f in _gadget_pairs()}[name]()
@@ -733,7 +763,7 @@ def _closed_forms():
 
 
 @pytest.mark.parametrize("case", _closed_forms(), ids=lambda c: c[0])
-def test_choi_lift_reads_each_words_operator(case, monkeypatch):
+def test_choi_lift_reads_each_words_operator(case, memo, monkeypatch):
     from mbqcsim import numerics
 
     _, sample, sizes, closed_form = case
@@ -745,17 +775,25 @@ def test_choi_lift_reads_each_words_operator(case, monkeypatch):
         return real(op)
 
     monkeypatch.setattr(numerics, "require_unitary", recording)
-    words = set()
+    posts = {}
+    # cold: one checked operator per distinct word
     for picks in itertools.product(*map(range, sizes)):
-        word = sample(Scripted(picks)).transcript
-        words.add(word)
-        (op,) = read  # one checked operator per call
+        out = sample(Scripted(picks))
+        word = out.transcript
+        assert word not in posts
+        posts[word] = out.post_state.amplitudes.tobytes()
+        (op,) = read
         read.clear()
         assert np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= 1e-12, word
         expect = closed_form(word)
         phase = np.vdot(expect, op)  # tr(expect^dagger op)
         assert np.max(np.abs(op - phase / abs(phase) * expect)) <= 1e-12, word
-    assert len(words) == 16
+    assert len(posts) == 16
+    # warm: no operator is read again, and every post-state keeps its bytes
+    for picks in itertools.product(*map(range, sizes)):
+        out = sample(Scripted(picks))
+        assert read == [], out.transcript
+        assert out.post_state.amplitudes.tobytes() == posts[out.transcript]
 
 
 def test_a_word_that_is_not_unitary_raises_instead_of_sampling(monkeypatch):
@@ -772,3 +810,114 @@ def test_a_word_that_is_not_unitary_raises_instead_of_sampling(monkeypatch):
             one_qubit_gadget(H_MATRIX, s, 2, RandomSource(seed))
         with pytest.raises(ValueError, match="not unitary"):
             cnot_gadget(s, 1, 3, RandomSource(seed))
+
+
+# ---------------------------------------------------------------------------
+# the memo of checked word operators
+# ---------------------------------------------------------------------------
+
+
+def _every_word(sample, sizes):
+    """Each word's GadgetOutcome, in the order the picks give them."""
+    return [sample(Scripted(picks)) for picks in itertools.product(*map(range, sizes))]
+
+
+@pytest.mark.parametrize("case", _closed_forms(), ids=lambda c: c[0])
+def test_warm_and_cold_calls_give_the_same_outcome_bytes(case, memo):
+    _, sample, sizes, _ = case
+    cold = []
+    for picks in itertools.product(*map(range, sizes)):
+        memo.clear()
+        cold.append(sample(Scripted(picks)))
+    warm = _every_word(sample, sizes)
+    assert len(memo) == 16
+    for a, b in zip(cold, warm, strict=True):
+        assert a.transcript == b.transcript
+        assert a.byproduct == b.byproduct
+        assert a.branch_probability == b.branch_probability
+        assert a.post_state.num_qubits == b.post_state.num_qubits == 5
+        assert a.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+
+
+def test_distinct_unitaries_leave_the_memo_at_its_bound(memo, monkeypatch):
+    from mbqcsim import gadgets, numerics
+
+    gen = np.random.default_rng(80)
+    s = random_state(3, gen)
+    one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
+    (h_key,) = memo
+    for seed in range(1000):
+        one_qubit_gadget(haar_unitary(2, gen), s, 1, RandomSource(seed))
+        # a key in use is the most recently used one, so never evicted
+        one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
+        assert next(reversed(memo)) == h_key
+        assert len(memo) <= gadgets._OPERATORS_MAX
+    assert len(memo) == gadgets._OPERATORS_MAX
+
+    def no_reads(op):
+        raise AssertionError("the H word was read again")
+
+    monkeypatch.setattr(numerics, "require_unitary", no_reads)
+    one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
+
+
+def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
+    from mbqcsim import gadgets
+
+    s = random_state(5, np.random.default_rng(82))
+    one_qubit = (lambda rng: one_qubit_gadget(H_MATRIX, s, 2, rng), (4, 4))
+    t = (lambda rng: adapted_t_gadget(s, 2, L.X, rng), (4, 2, 2))
+    cnot = (lambda rng: cnot_gadget(s, 1, 3, rng), (4, 4))
+    for call in (one_qubit, t, cnot):
+        _every_word(*call)
+    # every sign of the table flipped: a warm call gives a cold call's bytes
+    flipped = {
+        key: Table1Entry(*(SignedPauliObservable(-o.sign, o.letters)
+                           for o in (e.m1, e.m2_pos, e.m2_neg)))
+        for key, e in TABLE1.items()
+    }
+    monkeypatch.setattr(gadgets, "TABLE1", flipped)
+    warm = _every_word(*t)
+    memo.clear()
+    for a, b in zip(warm, _every_word(*t), strict=True):
+        assert a.transcript == b.transcript
+        assert a.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+    # a computational-basis second measurement: no word is unitary
+    computational = BasisMeasurement(
+        tuple(basis_state(b) for b in ("00", "01", "10", "11"))
+    )
+    monkeypatch.setattr(gadgets, "BELL_BASIS", computational)
+    for seed in range(4):
+        with pytest.raises(ValueError, match="not unitary"):
+            one_qubit[0](RandomSource(seed))
+        with pytest.raises(ValueError, match="not unitary"):
+            cnot[0](RandomSource(seed))
+
+
+class _NoReads(dict):
+    """A memo whose every use fails the test."""
+
+    def _fail(self, *args):
+        raise AssertionError("the memo was read")
+
+    get = pop = __getitem__ = __setitem__ = __contains__ = __len__ = __iter__ = _fail
+
+
+def test_a_register_of_at_most_2k_qubits_never_reads_the_memo(monkeypatch):
+    from mbqcsim import engines, gadgets
+
+    monkeypatch.setattr(gadgets, "_OPERATORS", _NoReads())
+    gen = np.random.default_rng(81)
+    u = haar_unitary(2, gen)
+    for n in (1, 2):
+        s = random_state(n, gen)
+        _every_word(lambda rng: one_qubit_gadget(u, s, n - 1, rng), (4, 4))
+        for p in LETTERS:
+            _every_word(lambda rng, p=p: adapted_t_gadget(s, 0, p, rng), (4, 2, 2))
+    for n in (2, 3, 4):
+        s = random_state(n, gen)
+        _every_word(lambda rng: cnot_gadget(s, n - 1, 0, rng), (4, 4))
+    # a retry loop runs every attempt on the Choi state of its wire,
+    # 2 qubits, and lifts the register once, past the memo
+    for seed in range(4):
+        engines.one_qubit_loop(u, random_state(5, gen), 2, RandomSource(seed))

@@ -54,6 +54,20 @@ def test_golden_output(name, capsys):
     assert out == golden_path(name).read_text(encoding="utf-8")
 
 
+def test_every_case_keeps_its_bytes_with_a_cold_and_a_warm_memo(capsys):
+    from mbqcsim import gadgets
+
+    # first each case on an empty memo of word operators, then all of
+    # them again on the memo the first pass filled
+    for warm in (False, True):
+        for name in sorted(CASES):
+            if not warm:
+                gadgets._OPERATORS.clear()
+            code, out = run_case(name, capsys)
+            assert code == 0
+            assert out == golden_path(name).read_text(encoding="utf-8"), (name, warm)
+
+
 if __name__ == "__main__":
     import contextlib
     import io

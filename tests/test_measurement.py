@@ -435,22 +435,35 @@ def test_measurement_branches_rejects_unknown_type():
 # ---------------------------------------------------------------------------
 
 
+def _enumerated(s, plan, word):
+    """The enumerated branch of ``word``."""
+    (b,) = [b for b in enumerate_branches(s, plan) if b.outcomes == word]
+    return b
+
+
+def _same_leaf(leaf, b):
+    """The sampled leaf is the enumerated branch of its word, bit for bit."""
+    assert leaf.outcomes == b.outcomes
+    assert leaf.probability == b.probability
+    assert leaf.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+
+
 def test_measure_basis_is_deterministic_per_seed():
     s = random_state(2, np.random.default_rng(1))
-    a = sample_plan(s, [((0, 1), BELL_BASIS)], RandomSource(10))
-    b = sample_plan(s, [((0, 1), BELL_BASIS)], RandomSource(10))
-    assert a[0] == b[0]
-    assert np.array_equal(a[1].amplitudes, b[1].amplitudes)
+    plan = [((0, 1), BELL_BASIS)]
+    a = sample_plan(s, plan, RandomSource(10))
+    b = sample_plan(s, plan, RandomSource(10))
+    assert a.outcomes == b.outcomes
+    assert np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
+    _same_leaf(a, _enumerated(s, plan, a.outcomes))
 
 
 def test_measure_observable_returns_eigenpair():
-    (ev,), post, prob = sample_plan(
-        basis_state("00"),
-        [((0, 1), SignedPauliObservable(1, (L.Z, L.Z)))],
-        RandomSource(3),
-    )
-    assert ev == 1 and prob == 1.0
-    assert np.array_equal(post.amplitudes, basis_state("00").amplitudes)
+    plan = [((0, 1), SignedPauliObservable(1, (L.Z, L.Z)))]
+    leaf = sample_plan(basis_state("00"), plan, RandomSource(3))
+    assert leaf.outcomes == (1,) and leaf.probability == 1.0
+    assert np.array_equal(leaf.post_state.amplitudes, basis_state("00").amplitudes)
+    _same_leaf(leaf, _enumerated(basis_state("00"), plan, (1,)))
 
 
 def test_sample_plan_probability_matches_branch():
@@ -459,14 +472,10 @@ def test_sample_plan_probability_matches_branch():
         ((0, 1), SignedPauliObservable(1, (L.Z, L.Z))),
         ((0, 1), SignedPauliObservable(1, (L.X, L.X))),
     ]
-    word, state, prob = sample_plan(s, plan, RandomSource(77))
-    for b in enumerate_branches(s, plan):
-        if b.outcomes == word:
-            assert np.isclose(prob, b.probability, atol=1e-12)
-            assert np.isclose(overlap(state, b.post_state), 1.0, atol=1e-12)
-            break
-    else:
-        pytest.fail(f"sampled word {word} not among enumerated branches")
+    leaf = sample_plan(s, plan, RandomSource(77))
+    b = _enumerated(s, plan, leaf.outcomes)
+    assert np.isclose(overlap(leaf.post_state, b.post_state), 1.0, atol=1e-12)
+    _same_leaf(leaf, b)
 
 
 def test_sampled_frequencies_match_probabilities():
@@ -475,7 +484,7 @@ def test_sampled_frequencies_match_probabilities():
     counts = {0: 0, 3: 0}
     trials = 4000
     for _ in range(trials):
-        (label,), _, _ = sample_plan(basis_state("00"), [((0, 1), BELL_BASIS)], rng)
+        (label,) = sample_plan(basis_state("00"), [((0, 1), BELL_BASIS)], rng).outcomes
         counts[label] += 1
     # 3 sigma for a fair coin over 4000 draws
     assert abs(counts[0] - trials / 2) < 3 * np.sqrt(trials * 0.25)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbqcsim.circuit import CNOT_MATRIX, H_MATRIX, T_MATRIX
-from mbqcsim.numerics import basis_state, random_state
+from mbqcsim.numerics import StateVector, apply_unitary, basis_state, random_state
 from mbqcsim.pauli import (
     PHASES,
     PauliLetter,
@@ -299,6 +299,35 @@ def test_apply_pauli_matches_letter_matrices():
         out = apply_pauli(p, s)
         expect = p.matrix() @ s.amplitudes
         assert np.allclose(out.amplitudes, expect, atol=1e-12)
+
+
+def _letter_by_letter(p, s):
+    """Each letter's matrix on its wire, qubit 0 first, I skipped."""
+    for q, l in enumerate(p.letters):
+        if l is not L.I:
+            s = apply_unitary(letter_matrix(l), s, [q])
+    return s
+
+
+def test_apply_pauli_from_the_masks_has_the_bits_of_letter_by_letter():
+    gen = np.random.default_rng(24)
+    for n in range(1, 5):
+        # generic amplitudes: every real and imaginary part nonzero
+        generic = [random_state(n, gen) for _ in range(3)]
+        # exact zeros: the values agree, the sign of a zero part may not
+        zeros = [basis_state(format(i, f"0{n}b")) for i in range(2**n)]
+        mixed = random_state(n, gen).amplitudes.copy()
+        mixed.real[::2] = 0.0
+        zeros.append(StateVector(n, mixed, normalize=True))
+        for letters in itertools.product(LETTERS, repeat=n):
+            for k in range(4):
+                p = PauliOperator.from_letters(k, letters)
+                for s in generic:
+                    out, expect = apply_pauli(p, s), _letter_by_letter(p, s)
+                    assert out.amplitudes.tobytes() == expect.amplitudes.tobytes(), letters
+                for s in zeros:
+                    out, expect = apply_pauli(p, s), _letter_by_letter(p, s)
+                    assert np.array_equal(out.amplitudes, expect.amplitudes), letters
 
 
 def test_apply_pauli_length_check():
