@@ -39,10 +39,13 @@ multiple of one unitary K, the teleported gate with its byproduct (gate
 teleportation, Gottesman & Chuang, quant-ph/9908010), so its
 probability is 1/16 for every input.  The word's Choi post-state holds
 K, which is read and checked unitary (the proof of that claim) once per
-(key, word), on the bytes every later call of the word would rebuild; a
-bounded memo keeps it, and each call applies it to the register once.
-A sampled branch is the enumerated branch of the same word up to
-rounding, not bit for bit.
+(key, word), on the bytes every later call of the word would rebuild.
+That key fixes the whole Choi side of a call, so one bounded memo, keyed
+(register, word so far, steps measured), keeps each drawn inner state
+the next measurement reads and each word's checked K: a warm call still
+measures and draws once per measurement, on the stored states, and
+builds no state but the lifted register.  A sampled branch is the
+enumerated branch of the same word up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -237,8 +241,27 @@ def narrow(s, wires):
 
 #: a wide call's register, Choi state and resource: the same every call
 _choi_register = lru_cache(maxsize=4)(tensor)
-#: checked word operators of wide calls, least recently used first
+#: inner Choi states and checked word operators of wide calls, least
+#: recently used first
 _OPERATORS, _OPERATORS_MAX = {}, 256
+
+
+def _recall(register, plan, branch, build=attrgetter("post_state")):
+    """The memo's value for a drawn ``branch`` of a wide call: its
+    post-state, or what ``build`` makes of the branch.  The key
+    (register, word, steps measured) fixes every byte of it."""
+    word = branch.outcomes
+    steps = tuple(
+        (w, m(word[:i]) if callable(m) else m) for i, (w, m) in enumerate(plan[:len(word)])
+    )
+    key = (register, word, steps)
+    value = _OPERATORS.pop(key, None)
+    if value is None:
+        value = build(branch)
+        if len(_OPERATORS) >= _OPERATORS_MAX:
+            del _OPERATORS[next(iter(_OPERATORS))]
+    _OPERATORS[key] = value
+    return value
 
 
 def _sample(spec_of, s, wires, rng):
@@ -248,17 +271,9 @@ def _sample(spec_of, s, wires, rng):
         leaf = sample_plan(tensor(s, spec.resource), spec.plan, rng)
         return _outcome(spec, leaf, spec.compact(leaf.post_state))
     register = _choi_register(state, spec.resource)
-    leaf = sample_plan(register, spec.plan, rng)
-    # a key (register, word, steps measured) fixes every byte of the read
-    word = leaf.outcomes
-    steps = ((w, m(word[:i]) if callable(m) else m) for i, (w, m) in enumerate(spec.plan))
-    key = (register, word, tuple(steps))
-    op = _OPERATORS.pop(key, None)
-    if op is None:
-        op = choi_operator(spec.compact(leaf.post_state))
-        if len(_OPERATORS) >= _OPERATORS_MAX:
-            del _OPERATORS[next(iter(_OPERATORS))]
-    _OPERATORS[key] = op
+    recall = partial(_recall, register, spec.plan)
+    leaf = sample_plan(register, spec.plan, rng, recall)
+    op = recall(leaf, lambda b: choi_operator(spec.compact(b.post_state)))
     return _outcome(spec, leaf, apply_unitary(op, s, wires, normalize=True))
 
 

@@ -12,10 +12,11 @@ Two measurement kinds exist:
 the register out with the pair first, computes every branch's exact
 Born probability up front, and builds a branch's post-state only when
 it is read.  ``sample_plan`` draws one branch per measurement (one
-``RandomSource.choose`` each), builds the post-state the next step
-measures, and returns the drawn leaf, whose own post-state is built
-only if read; ``enumerate_branches`` expands a plan into every outcome
-word with its post-state.  Enumeration, on the whole register, is the
+``RandomSource.choose`` each), reads the post-state the next step
+measures (built, or taken from a wide gadget call's memo), and returns
+the drawn leaf, whose own post-state is built only if read;
+``enumerate_branches`` expands a plan into every outcome word with its
+post-state.  Enumeration, on the whole register, is the
 brute-force oracle the test suite checks gadgets (which sample on the
 Choi state of their data wires) and engines against.
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -260,19 +262,21 @@ def enumerate_branches(s, plan):
     return [OutcomeBranch(*path) for path in paths]
 
 
-def sample_plan(s, plan, rng):
+def sample_plan(s, plan, rng, read=attrgetter("post_state")):
     """Sample one path through a plan; returns its OutcomeBranch leaf.
 
-    Each step makes one ``measurement_branches`` call and one draw and
-    reads the drawn branch's post-state, which the next step measures.
+    Each step makes one ``measurement_branches`` call and one draw.  A
+    step after the first measures the post-state of the branch drawn
+    before it, which ``read(branch)`` gives: the branch builds it, or a
+    wide gadget call reads it from the memo that keeps its Choi states.
     The leaf holds the whole word and its joint probability, the product
     ``enumerate_branches`` forms; its post-state is built when read.
     """
     leaf = OutcomeBranch((), 1.0, s)
-    for wires, m in plan:
+    for i, (wires, m) in enumerate(plan):
         if callable(m):
             m = m(leaf.outcomes)
-        branches = measurement_branches(leaf.post_state, m, wires)
+        branches = measurement_branches(read(leaf) if i else s, m, wires)
         b = branches[rng.choose([b.probability for b in branches])]
         b.outcomes = leaf.outcomes + b.outcomes
         b.probability *= leaf.probability

@@ -19,8 +19,11 @@ of length 1 sends numpy down another loop that rounds differently.
 A wire permutation calls ``.transpose``, the method ``np.transpose``
 forwards to, and a scalar square root ``math.sqrt``, correctly rounded
 as ``np.sqrt`` is.  Results are bit for bit those of the plain formulas;
-``factor_out``'s leak residual, a check that gates but never enters a
-result, is one ``vdot``.
+``factor_out``'s leak residual and ``StateVector``'s norm check, checks
+that gate but never enter a result, are one dot each.  A state is
+normalized by one multiply with the reciprocal of its norm, the multiply
+numpy's division by a real does, so only the sign of a zero part may
+differ from ``amps / norm``.
 
 A width and a tuple of wires fix the wire checks and the transpose
 plans that move the wires first and back, or back from last:
@@ -55,6 +58,14 @@ class StateVector:
     :func:`tensor`.  Instances are treated as immutable: every
     operation returns a fresh state.
 
+    ``normalize`` computes the norm by ``np.linalg.norm``'s formula and
+    multiplies by its reciprocal.  numpy divides a complex array by a
+    real the same way, by one reciprocal and one multiply per part, so
+    every part that is not an exact zero has the bits of ``amps / norm``;
+    an exact zero part may come out with the other sign.  Without
+    ``normalize`` the norm only gates, so it is one dot of the
+    contiguous float view (of a copy, for a strided input).
+
     Args:
         num_qubits: number of qubits, >= 0.
         amplitudes: length ``2**num_qubits`` complex sequence.
@@ -76,15 +87,19 @@ class StateVector:
                 f"amplitude count {amps.size} does not match "
                 f"2**{num_qubits} = {2**num_qubits}"
             )
-        # np.linalg.norm's own formula for complex vectors, minus its overhead
-        re, im = amps.real, amps.imag
-        nrm = math.sqrt(re.dot(re) + im.dot(im))
+        if normalize:
+            # np.linalg.norm's own formula for complex vectors, minus its overhead
+            re, im = amps.real, amps.imag
+            nrm = math.sqrt(re.dot(re) + im.dot(im))
+        else:
+            flat = np.ascontiguousarray(amps).view(float)
+            nrm = math.sqrt(flat.dot(flat))
         if not math.isfinite(nrm):
             raise ValueError(f"state vector norm is not finite: {nrm!r}")
         if normalize:
             if not nrm >= 1e-12:
                 raise ValueError("cannot normalize a zero vector")
-            amps = amps / nrm
+            amps = amps * (1.0 / nrm)
         elif not abs(nrm - 1.0) <= STATE_TOL:
             raise ValueError(f"state vector is not normalized: norm = {nrm!r}")
         # shared freely (basis caches hand out the same instance), so

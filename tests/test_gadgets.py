@@ -1,5 +1,6 @@
 """Teleportation gadgets and the adapted-T measurement table."""
 
+import collections
 import itertools
 import sys
 import tracemalloc
@@ -560,7 +561,8 @@ def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
 
 @pytest.fixture
 def memo():
-    """The memo of checked word operators, emptied for the test."""
+    """The whole memo of wide calls, inner Choi states and checked word
+    operators alike, emptied for the test."""
     from mbqcsim import gadgets
 
     gadgets._OPERATORS.clear()
@@ -596,12 +598,13 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
     for seed in range(4):
         assert built_by(narrow, seed) == measurements
     assert not memo
-    # wider: a cold memo builds the leaf's state to read the word's
-    # operator, a warm one applies the stored operator without it
+    # wider: a cold memo builds each inner state the next measurement
+    # reads and the leaf's state to read the word's operator; a warm one
+    # measures the stored states and applies the stored operator
     wide = sample(2 * data_wires + 3)
     for seed in range(4):
         cold = built_by(wide, seed)
-        assert (cold, built_by(wide, seed)) == (measurements, measurements - 1)
+        assert (cold, built_by(wide, seed)) == (measurements, 0)
         memo.clear()
     # enumeration still builds every kept branch: 4 + 16, or 4 + 8 + 16 for T
     built.clear()
@@ -822,6 +825,21 @@ def _every_word(sample, sizes):
     return [sample(Scripted(picks)) for picks in itertools.product(*map(range, sizes))]
 
 
+#: memo entries of every word of one wide key, by word length: the
+#: inner Choi states each measurement but the last leaves, then the
+#: words' operators
+_NODES_BY_DEPTH = {(4, 4): {1: 4, 2: 16}, (4, 2, 2): {1: 4, 2: 8, 3: 16}}
+
+
+def _entries_by_depth(memo):
+    """{word length: number of entries} of the memo; a leaf's entry is
+    an operator, an inner entry a state."""
+    depth = max(len(word) for _, word, _ in memo)
+    for (_, word, _), value in memo.items():
+        assert isinstance(value, np.ndarray if len(word) == depth else StateVector)
+    return dict(collections.Counter(len(word) for _, word, _ in memo))
+
+
 @pytest.mark.parametrize("case", _closed_forms(), ids=lambda c: c[0])
 def test_warm_and_cold_calls_give_the_same_outcome_bytes(case, memo):
     _, sample, sizes, _ = case
@@ -830,7 +848,9 @@ def test_warm_and_cold_calls_give_the_same_outcome_bytes(case, memo):
         memo.clear()
         cold.append(sample(Scripted(picks)))
     warm = _every_word(sample, sizes)
-    assert len(memo) == 16
+    # one entry per node below the first measurement: the inner Choi
+    # states, then the 16 words' operators
+    assert _entries_by_depth(memo) == _NODES_BY_DEPTH[sizes]
     for a, b in zip(cold, warm, strict=True):
         assert a.transcript == b.transcript
         assert a.byproduct == b.byproduct
@@ -840,24 +860,28 @@ def test_warm_and_cold_calls_give_the_same_outcome_bytes(case, memo):
 
 
 def test_distinct_unitaries_leave_the_memo_at_its_bound(memo, monkeypatch):
-    from mbqcsim import gadgets, numerics
+    from mbqcsim import gadgets, measurement, numerics
 
     gen = np.random.default_rng(80)
     s = random_state(3, gen)
     one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
-    (h_key,) = memo
+    # the H call's inner state, then its word's operator
+    h_keys = list(memo)
+    assert [len(word) for _, word, _ in h_keys] == [1, 2]
     for seed in range(1000):
         one_qubit_gadget(haar_unitary(2, gen), s, 1, RandomSource(seed))
-        # a key in use is the most recently used one, so never evicted
-        one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
-        assert next(reversed(memo)) == h_key
         assert len(memo) <= gadgets._OPERATORS_MAX
+        # the keys in use are the most recently used ones, so never evicted
+        one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
+        assert list(memo)[-2:] == h_keys
+        assert len(memo) == min(2 + 2 * (seed + 1), gadgets._OPERATORS_MAX)
     assert len(memo) == gadgets._OPERATORS_MAX
 
-    def no_reads(op):
-        raise AssertionError("the H word was read again")
+    def no_reads(*args):
+        raise AssertionError("the H call's state or word was built again")
 
     monkeypatch.setattr(numerics, "require_unitary", no_reads)
+    monkeypatch.setattr(measurement, "_post_state", no_reads)
     one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
 
 
@@ -870,6 +894,7 @@ def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
     cnot = (lambda rng: cnot_gadget(s, 1, 3, rng), (4, 4))
     for call in (one_qubit, t, cnot):
         _every_word(*call)
+    assert len(memo) == 20 + 28 + 20
     # every sign of the table flipped: a warm call gives a cold call's bytes
     flipped = {
         key: Table1Entry(*(SignedPauliObservable(-o.sign, o.letters)
@@ -878,6 +903,8 @@ def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
     }
     monkeypatch.setattr(gadgets, "TABLE1", flipped)
     warm = _every_word(*t)
+    # the first measurement is the same, so only its 4 states are shared
+    assert len(memo) == 20 + 28 + 20 + 8 + 16
     memo.clear()
     for a, b in zip(warm, _every_word(*t), strict=True):
         assert a.transcript == b.transcript
@@ -903,7 +930,7 @@ class _NoReads(dict):
     get = pop = __getitem__ = __setitem__ = __contains__ = __len__ = __iter__ = _fail
 
 
-def test_a_register_of_at_most_2k_qubits_never_reads_the_memo(monkeypatch):
+def test_a_register_of_at_most_2k_qubits_never_reads_the_memo(memo, monkeypatch):
     from mbqcsim import engines, gadgets
 
     monkeypatch.setattr(gadgets, "_OPERATORS", _NoReads())
@@ -921,3 +948,11 @@ def test_a_register_of_at_most_2k_qubits_never_reads_the_memo(monkeypatch):
     # 2 qubits, and lifts the register once, past the memo
     for seed in range(4):
         engines.one_qubit_loop(u, random_state(5, gen), 2, RandomSource(seed))
+    # one wider call of each gadget keeps one entry per node of its path
+    # below the first measurement: 1 + 1, 2 + 1 and 1 + 1
+    monkeypatch.setattr(gadgets, "_OPERATORS", memo)
+    s = random_state(5, gen)
+    one_qubit_gadget(u, s, 4, RandomSource(0))
+    adapted_t_gadget(s, 0, L.Z, RandomSource(0))
+    cnot_gadget(s, 4, 0, RandomSource(0))
+    assert [len(word) for _, word, _ in memo] == [1, 2, 1, 2, 3, 1, 2]

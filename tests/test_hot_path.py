@@ -2,7 +2,8 @@
 
 Each reference below is the straightforward numpy formula the package
 once used (``v.conj() @ mat``, ``np.outer``, ``np.kron``,
-``float(np.real(np.vdot(...)))``, numpy's ``sum``), kept here so that
+``float(np.real(np.vdot(...)))``, numpy's ``sum``, ``amps / norm``),
+kept here so that
 a change of call pattern in ``numerics``, ``measurement``, ``pauli`` or
 ``gadgets`` cannot move a single output bit unnoticed.  The wire
 layouts those modules cache per (width, wires) are held to the plain
@@ -10,6 +11,7 @@ layouts those modules cache per (width, wires) are held to the plain
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -299,3 +301,106 @@ def test_cached_decoders_equal_a_fresh_decode():
             # shared, not rebuilt: one operator (and matrix) per word
             assert decode(word) is got
             assert not got.matrix().flags.writeable
+
+
+def _normalized_by_division(amps):
+    """The plain formula: ``amps / np.linalg.norm(amps)``."""
+    amps = np.asarray(amps, dtype=complex)
+    return amps / np.linalg.norm(amps)
+
+
+def _assert_same_bits_but_zero_signs(got, ref):
+    got, ref = got.view(float), ref.view(float)
+    nonzero = ref != 0
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+    assert not got[~nonzero].any()
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_normalize_is_the_division_by_the_norm(n):
+    gen = np.random.default_rng(600 + n)
+    dim = 2**n
+    for scale in (1.0, 1e-3, 37.5):
+        amps = scale * (gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
+        got = StateVector(n, amps, normalize=True).amplitudes
+        assert got.tobytes() == _normalized_by_division(amps).tobytes(), scale
+    # exact zero parts: a basis state, real and imaginary vectors, and
+    # half of the parts of a random vector zeroed
+    basis = np.zeros(dim, dtype=complex)
+    basis[-1] = 3.0
+    sparse = amps.copy().view(float)
+    sparse[gen.random(2 * dim) < 0.5] = 0.0
+    sparse[0] = 1.0
+    for amps in (basis, amps.real + 0j, 1j * amps.imag, sparse.view(complex)):
+        got = StateVector(n, amps, normalize=True).amplitudes
+        _assert_same_bits_but_zero_signs(got, _normalized_by_division(amps))
+    # strided inputs: every other element, and a column of a matrix
+    wide = gen.standard_normal(2 * dim) + 1j * gen.standard_normal(2 * dim)
+    for amps in (wide[::2], wide.reshape(dim, 2)[:, 1]):
+        assert dim == 1 or not amps.flags.c_contiguous
+        got = StateVector(n, amps, normalize=True).amplitudes
+        assert got.tobytes() == _normalized_by_division(amps).tobytes()
+
+
+#: the (real, imaginary) parts whose zero sign the multiply by the
+#: reciprocal turns against the division, with (real turned, imaginary
+#: turned), in the order of ``itertools.product``
+_TURNED_ZERO_SIGNS = [
+    ((0.0, -0.0), (False, True)),
+    ((-0.0, 0.0), (True, False)),
+    ((-0.0, -0.0), (True, True)),
+    ((-0.0, 1.5), (True, False)),
+    ((-0.0, -1.5), (True, False)),
+    ((1.5, -0.0), (False, True)),
+    ((-1.5, -0.0), (False, True)),
+]
+
+
+def test_normalize_turns_the_sign_of_these_zeros_only():
+    turned = []
+    for parts in itertools.product((0.0, -0.0, 1.5, -1.5), repeat=2):
+        amps = np.array([*parts, 0.75, -0.5]).view(complex)
+        got = StateVector(1, amps, normalize=True).amplitudes
+        ref = _normalized_by_division(amps)
+        _assert_same_bits_but_zero_signs(got, ref)
+        signs = np.signbit(got.view(float)[:2]) != np.signbit(ref.view(float)[:2])
+        if signs.any():
+            turned.append((parts, tuple(bool(x) for x in signs)))
+    # 0.0 == -0.0, so the parts are compared by their bits
+    assert [(np.array(p).tobytes(), s) for p, s in turned] == [
+        (np.array(p).tobytes(), s) for p, s in _TURNED_ZERO_SIGNS
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_norm_check_passes_within_the_tolerance_and_raises_past_it(n):
+    gen = np.random.default_rng(700 + n)
+    unit = random_state(n, gen).amplitudes
+    buffer = np.empty(2 * unit.size, dtype=complex)
+    for offset, ok in ((5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)):
+        buffer[::2] = unit * (1.0 + offset)
+        for amps in (buffer[::2].copy(), buffer[::2]):
+            if ok:
+                got = StateVector(n, amps).amplitudes
+                assert got.tobytes() == amps.tobytes()
+                assert not got.flags.writeable
+            else:
+                with pytest.raises(ValueError, match="^state vector is not normalized: norm = "):
+                    StateVector(n, amps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amps, message", [
+    ([np.nan, 0], "state vector norm is not finite: nan"),
+    ([1, np.nan], "state vector norm is not finite: nan"),
+    ([complex(0, np.nan), 0], "state vector norm is not finite: nan"),
+    ([np.inf, 0], "state vector norm is not finite: inf"),
+    ([0, complex(0, -np.inf)], "state vector norm is not finite: inf"),
+    ([1e200, 0], "state vector norm is not finite: inf"),
+    ([0, 0], "state vector is not normalized: norm = 0.0"),
+], ids=["nan", "nan_second", "nan_imag", "inf", "inf_imag", "overflow", "zero"])
+def test_norm_check_raises_on_a_bad_vector_with_its_message(amps, message):
+    amps = np.array(amps, dtype=complex)
+    for given in (amps, np.repeat(amps, 2)[::2]):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateVector(1, given)
