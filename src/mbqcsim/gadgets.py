@@ -28,24 +28,25 @@ measurement-only; the two attachments are plain Bell measurements.
 Each gadget is one spec: its (cached) resource wires, the measurement
 plan, the decoding of an outcome word into the byproduct (the one
 word-to-byproduct rule, cached per word: engines read ``byproduct``,
-never the word), and as data the ``dead`` wires ``compact`` factors
-out and the ``outputs`` the resource wires left last carry back.
-``*_branches`` enumerates all 16 words on the register itself, the
-reference.  ``*_gadget`` samples one word, one draw per measurement, on
-what ``narrow`` gives: a register of 2k qubits or fewer as it is, a
-wider one as the Choi state |Phi+>^(x)k of its k data wires (with the
-resource adjoined, built once).  A word acts on the data wires as a
-multiple of one unitary K, the teleported gate with its byproduct (gate
-teleportation, Gottesman & Chuang, quant-ph/9908010), so its
-probability is 1/16 for every input.  The word's Choi post-state holds
-K, which is read and checked unitary (the proof of that claim) once per
-(key, word), on the bytes every later call of the word would rebuild.
-That key fixes the whole Choi side of a call, so one bounded memo, keyed
-(register, word so far, steps measured), keeps each drawn inner state
-the next measurement reads and each word's checked K: a warm call still
-measures and draws once per measurement, on the stored states, and
-builds no state but the lifted register.  A sampled branch is the
-enumerated branch of the same word up to rounding, not bit for bit.
+never the word), the ``dead`` wires ``compact`` factors out, the
+``outputs`` the resource wires left last carry back, and the plan's
+``key``.  ``*_branches`` enumerates all 16 words on the register itself,
+the reference.  ``*_gadget`` samples one word, one draw per measurement,
+at any width on what ``narrow`` gives: the Choi state |Phi+>^(x)k of the
+k data wires (with the resource adjoined, built once).  A word acts on
+the data wires as a multiple of one unitary K, the teleported gate with
+its byproduct (gate teleportation, Gottesman & Chuang,
+quant-ph/9908010), so its probability is 1/16 for every input, and the
+register is touched once, by K.  The Choi side of a call depends on its
+plan alone, so one bounded memo holds one entry per key, the plan's
+measurements as values (the basis ``u_basis`` gives, or sigma_p and its
+four table rows, then the basis the second step measures).  An entry is
+filled word by word with each drawn inner state the next measurement
+reads and each word's K, read and checked unitary (the proof of that
+claim) once per key.  A warm call still measures and draws once per
+measurement, on the stored states, and builds no state but the lifted
+register.  A sampled branch is the enumerated branch of the same word up
+to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ class _Spec(NamedTuple):
     decode: Callable
     dead: tuple
     outputs: tuple
+    key: tuple
 
     def compact(self, state):
         """Drop ``dead``; the resource wires left last carry ``outputs`` back."""
@@ -239,39 +241,33 @@ def narrow(s, wires):
     return choi(s, wires)
 
 
-#: a wide call's register, Choi state and resource: the same every call
+#: a call's register, Choi state and resource: the same every call
 _choi_register = lru_cache(maxsize=4)(tensor)
-#: inner Choi states and checked word operators of wide calls, least
-#: recently used first
-_OPERATORS, _OPERATORS_MAX = {}, 256
+#: per plan key, on its register, the inner Choi states and checked word
+#: operators by word so far; least recently used key first
+_OPERATORS, _OPERATORS_MAX = {}, 128
 
 
-def _recall(register, plan, branch, build=attrgetter("post_state")):
-    """The memo's value for a drawn ``branch`` of a wide call: its
-    post-state, or what ``build`` makes of the branch.  The key
-    (register, word, steps measured) fixes every byte of it."""
+def _recall(entries, branch, build=attrgetter("post_state")):
+    """The entry of a drawn ``branch``'s word: its post-state, or what
+    ``build`` makes of the branch, built once per key."""
     word = branch.outcomes
-    steps = tuple(
-        (w, m(word[:i]) if callable(m) else m) for i, (w, m) in enumerate(plan[:len(word)])
-    )
-    key = (register, word, steps)
-    value = _OPERATORS.pop(key, None)
+    value = entries.get(word)
     if value is None:
-        value = build(branch)
-        if len(_OPERATORS) >= _OPERATORS_MAX:
-            del _OPERATORS[next(iter(_OPERATORS))]
-    _OPERATORS[key] = value
+        value = entries[word] = build(branch)
     return value
 
 
 def _sample(spec_of, s, wires, rng):
     state, at, _ = narrow(s, wires)
     spec = spec_of(state.num_qubits, *at)
-    if state is s:
-        leaf = sample_plan(tensor(s, spec.resource), spec.plan, rng)
-        return _outcome(spec, leaf, spec.compact(leaf.post_state))
     register = _choi_register(state, spec.resource)
-    recall = partial(_recall, register, spec.plan)
+    key = (register, spec.key)
+    entries = _OPERATORS.pop(key, None) or {}
+    if len(_OPERATORS) >= _OPERATORS_MAX:
+        del _OPERATORS[next(iter(_OPERATORS))]
+    _OPERATORS[key] = entries
+    recall = partial(_recall, entries)
     leaf = sample_plan(register, spec.plan, rng, recall)
     op = recall(leaf, lambda b: choi_operator(spec.compact(b.post_state)))
     return _outcome(spec, leaf, apply_unitary(op, s, wires, normalize=True))
@@ -300,7 +296,7 @@ def _cnot_wires():
     return apply_unitary(CNOT_MATRIX, tensor(epr_state(), epr_state()), (1, 2))
 
 
-def _one_wire_spec(n, q, basis, second, decode):
+def _one_wire_spec(n, q, basis, second, decode, key):
     """Spec of a one-qubit or T call on n data qubits: ``basis`` on
     (a1, a2), then each measurement of ``second`` on (q, a1)."""
     return _Spec(
@@ -309,6 +305,7 @@ def _one_wire_spec(n, q, basis, second, decode):
         decode,
         (q, n, n + 2),
         (q,),
+        (basis, *key),
     )
 
 
@@ -321,7 +318,8 @@ def _one_qubit_byproduct(word):
 
 def _one_qubit_spec(u, n, q):
     # u_basis rejects a u that is not unitary, once per distinct matrix
-    return _one_wire_spec(n, q, u_basis(u), (BELL_BASIS,), _one_qubit_byproduct)
+    second = BELL_BASIS
+    return _one_wire_spec(n, q, u_basis(u), (second,), _one_qubit_byproduct, (second,))
 
 
 def one_qubit_gadget(u, s, q, rng):
@@ -329,8 +327,8 @@ def one_qubit_gadget(u, s, q, rng):
 
     Post-state is (u sigma_n sigma_m at q)|input> up to global phase,
     where (n, m) is the transcript; each of the 16 words has
-    probability exactly 1/16.  A register wider than 2 qubits runs on the
-    Choi state of q and is lifted by the word's operator (``narrow``).
+    probability exactly 1/16.  The call runs on the Choi state of q and
+    lifts the register by the word's operator (``narrow``).
     """
     return _sample(partial(_one_qubit_spec, u), s, (q,), rng)
 
@@ -343,20 +341,22 @@ def one_qubit_branches(u, s, q):
 def _t_spec(sigma_p, table, n, q):
     """Adaptive plan for the adapted T gadget.
 
-    M1/M2 are read from the table's row (sigma_p, outcome n); their
-    first letter lands on the data wire q, second on a1.
+    M1/M2 are read from row (sigma_p, outcome n) of sigma_p's four rows,
+    taken from the table once and keyed by value; their first letter
+    lands on the data wire q, second on a1.
     """
     sigma_p = PauliLetter(sigma_p)
     table = TABLE1 if table is None else table
+    rows = tuple(table[(sigma_p, i)] for i in range(4))
 
     def m1(word):
-        return table[(sigma_p, word[0])].m1
+        return rows[word[0]].m1
 
     def m2(word):
-        entry = table[(sigma_p, word[0])]
+        entry = rows[word[0]]
         return entry.m2_pos if word[1] > 0 else entry.m2_neg
 
-    return _one_wire_spec(n, q, u_basis(T_MATRIX), (m1, m2), _t_byproduct)
+    return _one_wire_spec(n, q, u_basis(T_MATRIX), (m1, m2), _t_byproduct, (sigma_p, rows))
 
 
 @lru_cache(maxsize=16)  # one entry per outcome word
@@ -392,12 +392,14 @@ def _cnot_byproduct(word):
 
 def _cnot_spec(n, control, target):
     # r1 = n and r4 = n + 3 are measured; r2 and r3 carry the outputs
+    basis = BELL_BASIS
     return _Spec(
         _cnot_wires(),
-        [((control, n), BELL_BASIS), ((target, n + 3), BELL_BASIS)],
+        [((control, n), basis), ((target, n + 3), basis)],
         _cnot_byproduct,
         (control, target, n, n + 3),
         (control, target),
+        (basis,),
     )
 
 

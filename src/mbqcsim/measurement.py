@@ -12,13 +12,14 @@ Two measurement kinds exist:
 the register out with the pair first, computes every branch's exact
 Born probability up front, and builds a branch's post-state only when
 it is read.  ``sample_plan`` draws one branch per measurement (one
-``RandomSource.choose`` each), reads the post-state the next step
-measures (built, or taken from a wide gadget call's memo), and returns
-the drawn leaf, whose own post-state is built only if read;
+``RandomSource.choose`` each) and reads the post-state the next step
+measures through ``read``; every sampled gadget call, at any width,
+takes it from its plan key's memo of Choi states, built on first use.
+It returns the drawn leaf, whose own post-state is built only if read.
 ``enumerate_branches`` expands a plan into every outcome word with its
-post-state.  Enumeration, on the whole register, is the
-brute-force oracle the test suite checks gadgets (which sample on the
-Choi state of their data wires) and engines against.
+post-state.  Enumeration, on the whole register, is the brute-force
+oracle the test suite checks gadgets (which sample on the Choi state
+of their data wires) and engines against.
 
 An outcome costs one product with the pair-first block, as few numpy
 calls as that allows, and every bit is that of the plain formulas; the
@@ -268,7 +269,7 @@ def sample_plan(s, plan, rng, read=attrgetter("post_state")):
     Each step makes one ``measurement_branches`` call and one draw.  A
     step after the first measures the post-state of the branch drawn
     before it, which ``read(branch)`` gives: the branch builds it, or a
-    wide gadget call reads it from the memo that keeps its Choi states.
+    gadget call reads it from the memo that keeps its key's Choi states.
     The leaf holds the whole word and its joint probability, the product
     ``enumerate_branches`` forms; its post-state is built when read.
     """

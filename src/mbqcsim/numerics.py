@@ -29,12 +29,12 @@ A width and a tuple of wires fix the wire checks and the transpose
 plans that move the wires first and back, or back from last:
 ``_wire_layout`` builds them once per pair, in a bounded cache.  A layout holds no
 amplitudes and each array call gets the operands it had, so no bit
-moves; bad wires raise on every call.  ``choi`` alone decides whether
-a register is small enough to run as it is; a wider one runs a gadget
-on the Choi state of its k data wires and is touched once, by the
-drawn word's operator, which ``choi_operator`` reads and checks
-unitary and ``apply_unitary`` applies.  A tolerance check reads
-``not x <= tol``, so a NaN fails it.
+moves; bad wires raise on every call.  ``choi`` gives the state a
+gadget on k data wires runs on, whatever the register's width: the
+Choi state of those wires.  The register is touched once, by the drawn
+word's operator, which ``choi_operator`` reads and checks unitary and
+``apply_unitary`` applies.  A tolerance check reads ``not x <= tol``,
+so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def require_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if not dev <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
@@ -273,18 +273,15 @@ def choi_operator(p):
 
 
 def choi(s, wires):
-    """The (state, wires, lift) a gadget on ``wires`` runs on.  A register
-    of 2k qubits or fewer is its own, with its wires and the identity
-    lift.  A wider one runs on the Choi state |Phi+>^(x)k, the k data
-    wires after k reference wires, and ``lift`` takes a post-state P of
-    it in two steps: ``choi_operator`` reads and checks K, and
-    ``apply_unitary`` applies it to the wires of ``s``, renormalized.  A
-    unitary K is a word whose probability does not depend on the input,
-    so a word drawn on the Choi state is drawn as on ``s`` itself."""
-    n, k = s.num_qubits, len(wires)
-    if n <= 2 * k:
-        return s, wires, lambda p: p
-    _wire_layout(n, tuple(wires))  # bad wires raise here, not in the lift
+    """The (state, wires, lift) a gadget on ``wires`` runs on: the Choi
+    state |Phi+>^(x)k, the k data wires after k reference wires, at
+    every width of ``s``.  ``lift`` takes a post-state P of it in two
+    steps: ``choi_operator`` reads and checks K, and ``apply_unitary``
+    applies it to the wires of ``s``, renormalized.  A unitary K is a
+    word whose probability does not depend on the input, so a word
+    drawn on the Choi state is drawn as on ``s`` itself."""
+    _wire_layout(s.num_qubits, tuple(wires))  # bad wires raise here, not in the lift
+    k = len(wires)
     return (
         _choi_state(k),
         tuple(range(k, 2 * k)),

@@ -535,7 +535,7 @@ def test_sampled_branch_matches_the_dense_branch(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
     gen = np.random.default_rng(50 + n)
-    # basis states: the register is mostly exact zeros; a wide call
+    # basis states: the register is mostly exact zeros; a call
     # draws its word on the Choi state without reading them, and the
     # lift's one product with K must still give the dense branch
     for bits in ("0" * n, ("10" * n)[:n], "1" * n):
@@ -561,8 +561,9 @@ def test_sampled_branch_matches_the_dense_branch_on_rank_deficient_inputs(n):
 
 @pytest.fixture
 def memo():
-    """The whole memo of wide calls, inner Choi states and checked word
-    operators alike, emptied for the test."""
+    """The whole memo of sampled calls, {(register, plan key): {word so
+    far: inner Choi state or checked word operator}}, emptied for the
+    test."""
     from mbqcsim import gadgets
 
     gadgets._OPERATORS.clear()
@@ -593,19 +594,16 @@ def test_sampled_gadget_builds_one_post_state_per_measurement(
         return {n: f for n, f, _ in _gadget_pairs(num_qubits)}[name]
 
     monkeypatch.setattr(measurement, "_post_state", counting)
-    # 2k qubits run on the register itself: the leaf's state is the output
-    narrow = sample(2 * data_wires)
-    for seed in range(4):
-        assert built_by(narrow, seed) == measurements
-    assert not memo
-    # wider: a cold memo builds each inner state the next measurement
-    # reads and the leaf's state to read the word's operator; a warm one
-    # measures the stored states and applies the stored operator
-    wide = sample(2 * data_wires + 3)
-    for seed in range(4):
-        cold = built_by(wide, seed)
-        assert (cold, built_by(wide, seed)) == (measurements, 0)
-        memo.clear()
+    # at every width, from k qubits up: a cold key builds each inner
+    # state the next measurement reads and the leaf's state to read the
+    # word's operator; a warm one measures the stored states and applies
+    # the stored operator
+    for num_qubits in (data_wires, 2 * data_wires, 2 * data_wires + 3):
+        call = sample(num_qubits)
+        for seed in range(4):
+            memo.clear()
+            cold = built_by(call, seed)
+            assert (cold, built_by(call, seed)) == (measurements, 0), num_qubits
     # enumeration still builds every kept branch: 4 + 16, or 4 + 8 + 16 for T
     built.clear()
     {n: f for n, _, f in _gadget_pairs()}[name]()
@@ -645,8 +643,8 @@ def test_sampled_gadget_measures_and_draws_once_per_measurement(
     name, data_wires, measurements, monkeypatch
 ):
     # the benchmark tracer fails a traced run unless every sampled call
-    # makes one measurement_branches call and one draw per measurement;
-    # on 2k qubits the call runs on the register, on more on the Choi state
+    # makes one measurement_branches call and one draw per measurement,
+    # on the Choi state at every width
     counts = _count_measurements_and_draws(monkeypatch)
     u = haar_unitary(2, np.random.default_rng(33))
     calls = {
@@ -654,7 +652,7 @@ def test_sampled_gadget_measures_and_draws_once_per_measurement(
         "adapted_t": lambda s, rng: adapted_t_gadget(s, 0, L.Z, rng),
         "cnot": lambda s, rng: cnot_gadget(s, s.num_qubits - 1, 0, rng),
     }
-    for n in (2 * data_wires, 2 * data_wires + 1):
+    for n in (data_wires, 2 * data_wires, 2 * data_wires + 1):
         s = random_state(n, np.random.default_rng(n))
         for seed in range(4):
             counts.update(measurements=0, draws=0)
@@ -736,13 +734,13 @@ def test_sampled_gadget_peak_memory_is_a_few_registers():
 
 
 # ---------------------------------------------------------------------------
-# the operator a wide call reads off the Choi state
+# the operator a call reads off the Choi state
 # ---------------------------------------------------------------------------
 
 
 def _closed_forms():
     """(name, sample(rng), sizes, closed form of a word) on a 5-qubit
-    register, wider than 2k for every gadget."""
+    register."""
     s = random_state(5, np.random.default_rng(60))
     u = haar_unitary(2, np.random.default_rng(61))
     cases = [
@@ -816,7 +814,7 @@ def test_a_word_that_is_not_unitary_raises_instead_of_sampling(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the memo of checked word operators
+# the memo of inner Choi states and checked word operators
 # ---------------------------------------------------------------------------
 
 
@@ -825,19 +823,18 @@ def _every_word(sample, sizes):
     return [sample(Scripted(picks)) for picks in itertools.product(*map(range, sizes))]
 
 
-#: memo entries of every word of one wide key, by word length: the
-#: inner Choi states each measurement but the last leaves, then the
-#: words' operators
+#: entries of every word of one key, by word length: the inner Choi
+#: states each measurement but the last leaves, then the words' operators
 _NODES_BY_DEPTH = {(4, 4): {1: 4, 2: 16}, (4, 2, 2): {1: 4, 2: 8, 3: 16}}
 
 
-def _entries_by_depth(memo):
-    """{word length: number of entries} of the memo; a leaf's entry is
-    an operator, an inner entry a state."""
-    depth = max(len(word) for _, word, _ in memo)
-    for (_, word, _), value in memo.items():
+def _entries_by_depth(entries):
+    """{word length: number of entries} of one key's entries; a leaf's
+    entry is an operator, an inner entry a state."""
+    depth = max(map(len, entries))
+    for word, value in entries.items():
         assert isinstance(value, np.ndarray if len(word) == depth else StateVector)
-    return dict(collections.Counter(len(word) for _, word, _ in memo))
+    return dict(collections.Counter(map(len, entries)))
 
 
 @pytest.mark.parametrize("case", _closed_forms(), ids=lambda c: c[0])
@@ -848,9 +845,10 @@ def test_warm_and_cold_calls_give_the_same_outcome_bytes(case, memo):
         memo.clear()
         cold.append(sample(Scripted(picks)))
     warm = _every_word(sample, sizes)
-    # one entry per node below the first measurement: the inner Choi
-    # states, then the 16 words' operators
-    assert _entries_by_depth(memo) == _NODES_BY_DEPTH[sizes]
+    # one key, with one entry per node below the first measurement: the
+    # inner Choi states, then the 16 words' operators
+    (entries,) = memo.values()
+    assert _entries_by_depth(entries) == _NODES_BY_DEPTH[sizes]
     for a, b in zip(cold, warm, strict=True):
         assert a.transcript == b.transcript
         assert a.byproduct == b.byproduct
@@ -865,17 +863,19 @@ def test_distinct_unitaries_leave_the_memo_at_its_bound(memo, monkeypatch):
     gen = np.random.default_rng(80)
     s = random_state(3, gen)
     one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
-    # the H call's inner state, then its word's operator
-    h_keys = list(memo)
-    assert [len(word) for _, word, _ in h_keys] == [1, 2]
+    # one key: the H call's inner state, then its word's operator
+    (h_key,) = memo
+    assert [len(word) for word in memo[h_key]] == [1, 2]
     for seed in range(1000):
         one_qubit_gadget(haar_unitary(2, gen), s, 1, RandomSource(seed))
         assert len(memo) <= gadgets._OPERATORS_MAX
-        # the keys in use are the most recently used ones, so never evicted
+        # the key in use is the most recently used one, so never evicted
         one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
-        assert list(memo)[-2:] == h_keys
-        assert len(memo) == min(2 + 2 * (seed + 1), gadgets._OPERATORS_MAX)
+        assert list(memo)[-1] == h_key
+        assert len(memo) == min(2 + seed, gadgets._OPERATORS_MAX)
     assert len(memo) == gadgets._OPERATORS_MAX
+    # each Haar key holds its one drawn path: an inner state and a word
+    assert sorted(map(len, memo.values())) == [2] * gadgets._OPERATORS_MAX
 
     def no_reads(*args):
         raise AssertionError("the H call's state or word was built again")
@@ -885,6 +885,18 @@ def test_distinct_unitaries_leave_the_memo_at_its_bound(memo, monkeypatch):
     one_qubit_gadget(H_MATRIX, s, 0, RandomSource(0))
 
 
+def _fresh_bytes(memo, call, sizes):
+    """Every word's post-state bytes of ``call`` on the memo as it is
+    (warm for every other key), then on an empty memo; they must agree."""
+    warm = _every_word(call, sizes)
+    keys = len(memo)
+    memo.clear()
+    for a, b in zip(warm, _every_word(call, sizes), strict=True):
+        assert a.transcript == b.transcript
+        assert a.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+    return keys, [a.post_state.amplitudes.tobytes() for a in warm]
+
+
 def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
     from mbqcsim import gadgets
 
@@ -892,23 +904,38 @@ def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
     one_qubit = (lambda rng: one_qubit_gadget(H_MATRIX, s, 2, rng), (4, 4))
     t = (lambda rng: adapted_t_gadget(s, 2, L.X, rng), (4, 2, 2))
     cnot = (lambda rng: cnot_gadget(s, 1, 3, rng), (4, 4))
-    for call in (one_qubit, t, cnot):
-        _every_word(*call)
-    assert len(memo) == 20 + 28 + 20
-    # every sign of the table flipped: a warm call gives a cold call's bytes
+    packaged = [_every_word(*call) for call in (one_qubit, t, cnot)]
+    assert sorted(map(len, memo.values())) == [20, 20, 28]
+    # every sign of the table flipped: a new key, which a warm call
+    # fills as a cold one does
     flipped = {
         key: Table1Entry(*(SignedPauliObservable(-o.sign, o.letters)
                            for o in (e.m1, e.m2_pos, e.m2_neg)))
         for key, e in TABLE1.items()
     }
     monkeypatch.setattr(gadgets, "TABLE1", flipped)
-    warm = _every_word(*t)
-    # the first measurement is the same, so only its 4 states are shared
-    assert len(memo) == 20 + 28 + 20 + 8 + 16
-    memo.clear()
-    for a, b in zip(warm, _every_word(*t), strict=True):
-        assert a.transcript == b.transcript
-        assert a.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+    keys, _ = _fresh_bytes(memo, *t)
+    assert keys == 4
+    # the same dict mended in place: a key holds the rows read, not the
+    # dict they came from, so the warm flipped key answers no call
+    for call in (one_qubit, t, cnot):
+        _every_word(*call)
+    flipped.update(TABLE1)
+    keys, after = _fresh_bytes(memo, *t)
+    assert keys == 4
+    assert after == [a.post_state.amplitudes.tobytes() for a in packaged[1]]
+    # the Bell basis relabeled: new keys, whose words lift by other
+    # operators than the packaged basis gives them
+    relabeled = BasisMeasurement(gadgets.BELL_BASIS.vectors[::-1])
+    for sampled, before in ((one_qubit, packaged[0]), (cnot, packaged[2])):
+        monkeypatch.undo()
+        memo.clear()
+        for call in (one_qubit, t, cnot):
+            _every_word(*call)
+        monkeypatch.setattr(gadgets, "BELL_BASIS", relabeled)
+        keys, after = _fresh_bytes(memo, *sampled)
+        assert keys == 4
+        assert after != [a.post_state.amplitudes.tobytes() for a in before]
     # a computational-basis second measurement: no word is unitary
     computational = BasisMeasurement(
         tuple(basis_state(b) for b in ("00", "01", "10", "11"))
@@ -921,38 +948,73 @@ def test_a_warm_memo_answers_for_no_other_table_or_basis(memo, monkeypatch):
             cnot[0](RandomSource(seed))
 
 
-class _NoReads(dict):
-    """A memo whose every use fails the test."""
+def _counting_builds(monkeypatch):
+    """The widths of the states built and the operators read from now on."""
+    from mbqcsim import numerics
 
-    def _fail(self, *args):
-        raise AssertionError("the memo was read")
+    built, read = [], []
+    init, check = StateVector.__init__, numerics.require_unitary
 
-    get = pop = __getitem__ = __setitem__ = __contains__ = __len__ = __iter__ = _fail
+    def counting_init(self, num_qubits, *args, **kwargs):
+        built.append(num_qubits)
+        init(self, num_qubits, *args, **kwargs)
+
+    def counting_check(u):
+        read.append(u)
+        return check(u)
+
+    monkeypatch.setattr(StateVector, "__init__", counting_init)
+    monkeypatch.setattr(numerics, "require_unitary", counting_check)
+    return built, read
 
 
-def test_a_register_of_at_most_2k_qubits_never_reads_the_memo(memo, monkeypatch):
-    from mbqcsim import engines, gadgets
-
-    monkeypatch.setattr(gadgets, "_OPERATORS", _NoReads())
+def test_a_warm_call_builds_only_the_lifted_register_at_any_width(memo, monkeypatch):
     gen = np.random.default_rng(81)
     u = haar_unitary(2, gen)
-    for n in (1, 2):
+    calls = []
+    for n in (1, 2, 5):
         s = random_state(n, gen)
-        _every_word(lambda rng: one_qubit_gadget(u, s, n - 1, rng), (4, 4))
-        for p in LETTERS:
-            _every_word(lambda rng, p=p: adapted_t_gadget(s, 0, p, rng), (4, 2, 2))
-    for n in (2, 3, 4):
+        calls.append((lambda rng, s=s: one_qubit_gadget(u, s, s.num_qubits - 1, rng), (4, 4)))
+        calls += [(lambda rng, s=s, p=p: adapted_t_gadget(s, 0, p, rng), (4, 2, 2))
+                  for p in LETTERS]
+    for n in (2, 4, 5):
         s = random_state(n, gen)
-        _every_word(lambda rng: cnot_gadget(s, n - 1, 0, rng), (4, 4))
-    # a retry loop runs every attempt on the Choi state of its wire,
-    # 2 qubits, and lifts the register once, past the memo
-    for seed in range(4):
-        engines.one_qubit_loop(u, random_state(5, gen), 2, RandomSource(seed))
-    # one wider call of each gadget keeps one entry per node of its path
-    # below the first measurement: 1 + 1, 2 + 1 and 1 + 1
-    monkeypatch.setattr(gadgets, "_OPERATORS", memo)
-    s = random_state(5, gen)
-    one_qubit_gadget(u, s, 4, RandomSource(0))
-    adapted_t_gadget(s, 0, L.Z, RandomSource(0))
-    cnot_gadget(s, 4, 0, RandomSource(0))
-    assert [len(word) for _, word, _ in memo] == [1, 2, 1, 2, 3, 1, 2]
+        calls.append((lambda rng, s=s: cnot_gadget(s, s.num_qubits - 1, 0, rng), (4, 4)))
+    cold = [_every_word(*call) for call in calls]
+    # a call's Choi side depends on its plan key alone, not on the width:
+    # one key for u, one per sigma_p and one for the CNOT
+    assert len(memo) == 1 + 4 + 1
+    built, read = _counting_builds(monkeypatch)
+    for (call, sizes), outs in zip(calls, cold):
+        for picks, a in zip(itertools.product(*map(range, sizes)), outs, strict=True):
+            built.clear()
+            b = call(Scripted(picks))
+            assert built == [a.post_state.num_qubits], a.transcript
+            assert b.transcript == a.transcript
+            assert b.post_state.amplitudes.tobytes() == a.post_state.amplitudes.tobytes()
+    assert read == []
+
+
+def test_a_retry_loop_rerun_on_its_seed_builds_no_inner_choi_state(memo, monkeypatch):
+    from mbqcsim import engines, measurement
+
+    built = []
+    real = measurement._post_state
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(measurement, "_post_state", counting)
+    gen = np.random.default_rng(83)
+    for n in (1, 2, 5):
+        u, s = haar_unitary(2, gen), random_state(n, gen)
+        for seed in range(4):
+            first, words = engines.one_qubit_loop(u, s, n - 1, RandomSource(seed))
+            # cold: each attempt's inner state and leaf, on 2 + 3 qubits
+            assert built == [5] * 2 * len(words)
+            built.clear()
+            again = engines.one_qubit_loop(u, s, n - 1, RandomSource(seed))
+            assert built == [] and again[1] == words
+            assert again[0].amplitudes.tobytes() == first.amplitudes.tobytes()
+            memo.clear()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mbqcsim.numerics import (
     StateVector,
+    _choi_state,
     _move,
     _transpose_plan,
     apply_unitary,
@@ -175,11 +176,14 @@ def test_factor_out_product_state():
 @pytest.mark.parametrize("n, wires", [
     (1, (0,)), (2, (1,)), (2, (0,)), (2, (1, 0)), (3, (2, 0)), (4, (1, 3)),
 ])
-def test_choi_runs_a_small_register_as_it_is(n, wires):
+def test_choi_runs_a_small_register_on_the_choi_state(n, wires):
+    # however few its qubits, no register runs as it is: the gadget runs
+    # on |Phi+>^(x)k, and the lift of that untouched state is the register
     s = random_state(n, np.random.default_rng(n))
+    k = len(wires)
     state, data, lift = choi(s, wires)
-    assert state is s and data == wires
-    assert lift(state) is state
+    assert state is _choi_state(k) and data == tuple(range(k, 2 * k))
+    assert np.max(np.abs(lift(state).amplitudes - s.amplitudes)) <= 1e-15
 
 
 @pytest.mark.parametrize("n, wires", [
